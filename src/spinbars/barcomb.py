@@ -200,7 +200,8 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
             core_parts.extend((p - i) + k * p for k in range(-charge))
     core = BarPartition(tuple(sorted(core_parts, reverse=True)))
     quotient = BarQuotient(lambda0, tuple(components), p)
-    assert core.n + p * quotient.weight == lam.n
+    if core.n + p * quotient.weight != lam.n:
+        raise RuntimeError(f"core {core} and quotient of weight {quotient.weight} do not rebuild {lam}")
     return core, quotient
 
 
@@ -229,7 +230,8 @@ def from_core_quotient(core: BarPartition, quotient: BarQuotient, p: int) -> Bar
         parts.extend(i + k * p for k in aset)
         parts.extend((p - i) + k * p for k in bset)
     result = BarPartition(tuple(sorted(parts, reverse=True)))
-    assert result.n == core.n + p * quotient.weight
+    if result.n != core.n + p * quotient.weight:
+        raise RuntimeError(f"{result} does not have the size of core {core} plus weight {quotient.weight}")
     return result
 
 
@@ -326,5 +328,6 @@ def partition_core_quotient(mu: Partition, p: int) -> tuple[Partition, tuple[Par
     core = Partition(tuple(a for a in core_parts if a > 0))
     shift = (p - 1) // 2
     quotient = tuple(comps[(j + shift) % p] for j in range(1, p + 1))
-    assert core.n + p * sum(c.n for c in quotient) == mu.n
+    if core.n + p * sum(c.n for c in quotient) != mu.n:
+        raise RuntimeError(f"core {core} and quotient {quotient} do not rebuild {mu}")
     return core, quotient

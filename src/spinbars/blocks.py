@@ -91,24 +91,23 @@ def block_of(x: SpinLabel, p: int) -> BlockId:
     return BlockId(x.group, p, core, quotient.weight)
 
 
+@lru_cache(maxsize=16)
+def _blocks(group: str, n: int, p: int) -> dict[BlockId, tuple[SpinLabel, ...]]:
+    """Block -> members for every label of the cover, both in canonical order."""
+    seen: dict[BlockId, list[SpinLabel]] = {}
+    for x in labels(group, n):
+        seen.setdefault(block_of(x, p), []).append(x)
+    return {b: tuple(members) for b, members in seen.items()}
+
+
 def block_members(block: BlockId) -> tuple[SpinLabel, ...]:
     """All labels of the block, in canonical label order."""
-    return tuple(
-        x for x in labels(block.group, block.n) if block_of(x, block.p) == block
-    )
+    return _blocks(block.group, block.n, block.p).get(block, ())
 
 
 def block_partition(group: str, n: int, p: int) -> list[tuple[BlockId, tuple[SpinLabel, ...]]]:
     """Partition of the spin labels of the cover into blocks, canonical order."""
-    seen: dict[BlockId, list[SpinLabel]] = {}
-    order: list[BlockId] = []
-    for x in labels(group, n):
-        b = block_of(x, p)
-        if b not in seen:
-            seen[b] = []
-            order.append(b)
-        seen[b].append(x)
-    return [(b, tuple(seen[b])) for b in order]
+    return list(_blocks(group, n, p).items())
 
 
 def basic_set(block: BlockId) -> tuple[SpinLabel, ...]:

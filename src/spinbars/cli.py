@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import zverify
 from .barcomb import BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
 from .blocks import BlockId, basic_set, block_partition, brauer_count
 from .isometry import basic_set_transport, block_kernel, broue_check, iso_I, local_side, perfect_check, swap_J
 from .spinchar import SELF, SYM, SpinLabel
-
-WORKERS_ENV = "SPINBARS_WORKERS"
 
 
 def _label_json(x: SpinLabel) -> dict:
@@ -127,13 +123,7 @@ def _verify_one(b: BlockId) -> dict:
 
 
 def _cmd_verify(args) -> tuple[list, int]:
-    blocks = [b for b, _ in _select_blocks(args)]
-    workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_one, blocks))
-    else:
-        results = [_verify_one(b) for b in blocks]
+    results = [_verify_one(b) for b, _ in _select_blocks(args)]
     failed = sum(1 for r in results if r["verdict"] != "pass")
     summary = {"blocks": len(results), "pass": len(results) - failed, "fail": failed}
     return [{"summary": summary, "blocks": results}], (1 if failed else 0)

@@ -9,6 +9,7 @@ weights classes by their sizes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,11 +33,9 @@ class IsometrySpec:
     mapping: tuple  # triples (source label, target label, sign)
 
     def __post_init__(self):
-        srcs = [s for s, _, _ in self.mapping]
-        tgts = [t for _, t, _ in self.mapping]
-        if sorted(map(repr, srcs)) != sorted(map(repr, self.source)) or sorted(
-            map(repr, tgts)
-        ) != sorted(map(repr, self.target)):
+        srcs = Counter(s for s, _, _ in self.mapping)
+        tgts = Counter(t for _, t, _ in self.mapping)
+        if srcs != Counter(self.source) or tgts != Counter(self.target):
             raise ValueError("mapping is not a bijection between source and target")
 
     def image(self, x):
@@ -108,9 +107,8 @@ def iso_I(block: BlockId) -> IsometrySpec:
 def basic_set_transport(block: BlockId) -> bool:
     """Whether the block isometry maps the basic set onto the local basic labels."""
     iso = iso_I(block)
-    images = {repr(iso.image(x)[0]) for x in basic_set(block)}
-    wanted = {repr(t) for t in local_basic_labels(block.weight, block.p, local_side(block))}
-    return images == wanted
+    images = {iso.image(x)[0] for x in basic_set(block)}
+    return images == set(local_basic_labels(block.weight, block.p, local_side(block)))
 
 
 @dataclass(frozen=True)
@@ -134,15 +132,17 @@ def split_value_matrix(block: BlockId) -> ValueMatrix:
 
 def kernel_of(iso: IsometrySpec, source_values: ValueMatrix, target_values: ValueMatrix) -> Kernel:
     """Kernel table: sum over source labels of sign * conj(value) x image value."""
+    terms = [
+        ([sign * v.conjugate() for v in source_values.row(s)], target_values.row(t))
+        for s, t, sign in iso.mapping
+    ]
     table = []
-    for i, x in enumerate(source_values.classes):
+    for i in range(len(source_values.classes)):
         row = []
-        for j, y in enumerate(target_values.classes):
+        for j in range(len(target_values.classes)):
             total = AlgNum()
-            for s, t, sign in iso.mapping:
-                vx = source_values.entries[source_values.row_keys.index(s)][i]
-                vy = target_values.entries[target_values.row_keys.index(t)][j]
-                total = total + sign * vx.conjugate() * vy
+            for vs, vt in terms:
+                total = total + vs[i] * vt[j]
             row.append(total)
         table.append(tuple(row))
     return Kernel(source_values.classes, target_values.classes, tuple(table))

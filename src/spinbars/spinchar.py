@@ -163,6 +163,7 @@ def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], i
     return out
 
 
+@lru_cache(maxsize=16)
 def split_classes(
     n: int, regular_only_for: int | None = None, group: str = SYM
 ) -> tuple[SplitClass, ...]:
@@ -264,7 +265,8 @@ def degree(x: SpinLabel) -> int:
     """Character degree: the value at the identity class."""
     d = _odd_value(x.lam.parts, (1,) * x.n)
     if x.group == ALT and x.tag != SELF:
-        assert d % 2 == 0
+        if d % 2:
+            raise RuntimeError(f"odd degree {d} for the pair constituent {x}")
         return d // 2
     return d
 

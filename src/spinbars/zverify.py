@@ -65,30 +65,14 @@ def integer_expansion(matrix: ValueMatrix) -> tuple[list[list[int]], list, int]:
     """Expand the entries over the radical basis, clearing one global denominator.
 
     Returns (integer rows, list of (class index, basis key) column labels,
-    denominator).  Raises if an entry uses a coefficient outside the basis
-    (cannot happen for values produced by this package).
+    denominator).  Only the columns that are nonzero in some row appear:
+    an all-zero column changes neither a row Hermite normal form nor any
+    integral relation between the rows.
     """
-    keys = sorted({k for row in matrix.entries for v in row for k in v.coefficients()})
-    if not keys:
-        keys = [(1, 0)]
-    den = 1
-    for row in matrix.entries:
-        for v in row:
-            for c in v.coefficients().values():
-                den = lcm(den, c.denominator)
-    out = []
-    for row in matrix.entries:
-        flat = []
-        for v in row:
-            coeffs = v.coefficients()
-            for k in keys:
-                c = coeffs.pop(k, Fraction(0)) * den
-                assert c.denominator == 1
-                flat.append(int(c))
-            if coeffs:
-                raise RuntimeError(f"entry has coefficients outside the basis: {coeffs}")
-        out.append(flat)
-    columns = [(j, k) for j in range(len(matrix.classes)) for k in keys]
+    coeffs = [[v.coefficients() for v in row] for row in matrix.entries]
+    columns = sorted({(j, k) for row in coeffs for j, entry in enumerate(row) for k in entry})
+    den = lcm(1, *(c.denominator for row in coeffs for entry in row for c in entry.values()))
+    out = [[int(row[j].get(k, 0) * den) for j, k in columns] for row in coeffs]
     return out, columns, den
 
 

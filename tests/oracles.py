@@ -2,12 +2,19 @@
 
 Everything here recomputes results from definitions: direct bar removal
 instead of the two-runner abacus, diagram border strips instead of beta-set
-moves, exhaustive searches instead of normal forms.
+moves, exhaustive searches instead of normal forms.  The slow paths that
+the library replaced stay here as references: a scan over every label for
+block members, and an integer expansion with every class x key column.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import lcm
+
+from spinbars.blocks import block_of
+from spinbars.spinchar import labels
 
 
 def strict_partitions_by_filter(n: int) -> set[tuple[int, ...]]:
@@ -154,3 +161,37 @@ def bounded_combination(rows: list[list[int]], target: list[int], bound: int):
         ):
             return coeffs
     return None
+
+
+def block_members_by_scan(block) -> tuple:
+    """Labels of the block found by testing every label of the cover."""
+    return tuple(x for x in labels(block.group, block.n) if block_of(x, block.p) == block)
+
+
+def dense_integer_expansion(matrix) -> tuple[list[list[int]], list, int]:
+    """Integer expansion with a column for every class times every radical key.
+
+    Keys are those used anywhere in the matrix, so most columns can be all
+    zero; the key (1, 0) alone stands in when every entry is zero.
+    """
+    keys = sorted({k for row in matrix.entries for v in row for k in v.coefficients()}) or [(1, 0)]
+    den = 1
+    for row in matrix.entries:
+        for v in row:
+            for c in v.coefficients().values():
+                den = lcm(den, c.denominator)
+    out = []
+    for row in matrix.entries:
+        flat = []
+        for v in row:
+            coeffs = v.coefficients()
+            for k in keys:
+                c = coeffs.pop(k, Fraction(0)) * den
+                if c.denominator != 1:
+                    raise ValueError(f"{c} is not integral after clearing {den}")
+                flat.append(int(c))
+            if coeffs:
+                raise ValueError(f"entry has coefficients outside the basis: {coeffs}")
+        out.append(flat)
+    columns = [(j, k) for j in range(len(matrix.classes)) for k in keys]
+    return out, columns, den

@@ -143,11 +143,14 @@ class TestContract:
 
     def test_byte_identical_reruns(self, capsys, monkeypatch):
         args = ["verify", "--group", "alt", "--n", "6", "--p", "3"]
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
         _, first = run_cli(capsys, *args)
-        monkeypatch.setenv(cli.WORKERS_ENV, "4")
         _, second = run_cli(capsys, *args)
         assert first == second
+        # SPINBARS_WORKERS is not an option: even an invalid value is ignored
+        monkeypatch.setenv("SPINBARS_WORKERS", "abc")
+        assert run_cli(capsys, "verify", "--n", "3", "--p", "3")[0] == 0
+        _, third = run_cli(capsys, *args)
+        assert third == first
 
     def test_schema_covers_all_group_variants(self, capsys):
         for group in ("sym", "alt"):

@@ -12,6 +12,7 @@ from spinbars.blocks import (
     local_basic_labels,
 )
 from spinbars.isometry import (
+    IsometrySpec,
     Kernel,
     UnsupportedTargetError,
     basic_set_transport,
@@ -43,6 +44,17 @@ def block_n4():
 
 def find_class(classes, pi, zflag=0):
     return next(c for c in classes if c.pi == pi and c.zflag == zflag)
+
+
+class TestIsometrySpec:
+    def test_rejects_non_bijections(self):
+        members = block_members(block_n3())
+        a, b, c = members
+        with pytest.raises(ValueError):
+            IsometrySpec(members, members, ((a, a, 1), (b, b, 1)))  # drops source c
+        with pytest.raises(ValueError):
+            IsometrySpec(members, members, ((a, a, 1), (b, a, 1), (c, c, 1)))  # repeats target a
+        IsometrySpec(members, members, ((a, b, 1), (b, a, -1), (c, c, 1)))
 
 
 class TestSwapJ:

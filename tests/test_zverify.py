@@ -5,7 +5,7 @@ import pytest
 
 from spinbars.algnum import AlgNum, I, ONE
 from spinbars.barcomb import BarPartition
-from spinbars.blocks import BlockId, basic_set, block_partition, brauer_count
+from spinbars.blocks import BlockId, basic_set, block_members, block_partition, brauer_count
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, is_odd_type
 from spinbars.zverify import (
     ValueMatrix,
@@ -16,7 +16,7 @@ from spinbars.zverify import (
     verify_basic_set,
     z_span_equal,
 )
-from oracles import bounded_combination
+from oracles import block_members_by_scan, bounded_combination, dense_integer_expansion
 
 
 def num(x):
@@ -244,5 +244,31 @@ class TestIntegerExpansion:
         )
         rows, columns, den = integer_expansion(m)
         assert den == 6
-        assert rows == [[3, 0, 0, 2]]
-        assert columns == [(0, (1, 0)), (0, (3, 0)), (1, (1, 0)), (1, (3, 0))]
+        assert rows == [[3, 2]]
+        assert columns == [(0, (1, 0)), (1, (3, 0))]
+
+    def test_all_zero_matrix_has_no_columns(self):
+        m = ValueMatrix(("a", "b"), ("c0",), ((num(0),), (num(0),)))
+        assert integer_expansion(m) == ([[], []], [], 1)
+        rep = z_span_equal(("a",), m)
+        assert not rep.verdict and rep.coordinates == {"b": (0,)}
+        assert rep.rank_full == rep.rank_candidate == 0
+
+
+class TestOracles:
+    def test_members_and_sparse_columns_match_the_oracles(self, monkeypatch):
+        from spinbars import zverify
+
+        for group in (SYM, ALT):
+            for p in (3, 5, 7):
+                for n in range(1, 15):
+                    for b, members in block_partition(group, n, p):
+                        assert members == block_members(b) == block_members_by_scan(b)
+                        m = restricted_matrix(b)
+                        sparse = z_span_equal(basic_set(b), m, b)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(zverify, "integer_expansion", dense_integer_expansion)
+                            dense = z_span_equal(basic_set(b), m, b)
+                        assert (sparse.verdict, sparse.coordinates, sparse.rank_full, sparse.rank_candidate) == (
+                            dense.verdict, dense.coordinates, dense.rank_full, dense.rank_candidate
+                        ), b
