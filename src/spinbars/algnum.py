@@ -11,7 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
+# 77 entries measured on verify alt n=25 p=11
+@lru_cache(maxsize=1 << 12)
 def squarefree_split(m: int) -> tuple[int, int]:
     """m = s**2 * d with d squarefree; returns (s, d).  Requires m >= 1."""
     if m < 1:
@@ -27,6 +28,14 @@ def squarefree_split(m: int) -> tuple[int, int]:
             d *= f
         f += 1
     return s, d * m
+
+
+def unit_product(k: tuple[int, int], l: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+    """(c, key) with u_k * u_l = c * u_key for the basis units u_(d, e) = sqrt(d) * i^e."""
+    (d1, e1), (d2, e2) = k, l
+    # sqrt(d1)*sqrt(d2) = s*sqrt(d1*d2/s^2) with s = gcd(d1, d2)
+    s, d = squarefree_split(d1 * d2)
+    return (-s if e1 and e2 else s), (d, (e1 + e2) % 2)
 
 
 class AlgNum:
@@ -120,15 +129,10 @@ class AlgNum:
         if other is None:
             return NotImplemented
         out = {}
-        for (d1, e1), c1 in self._terms:
-            for (d2, e2), c2 in other._terms:
-                # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd(d1, d2)
-                s, d = squarefree_split(d1 * d2)
-                c = c1 * c2 * s
-                if e1 and e2:
-                    c = -c
-                k = (d, (e1 + e2) % 2)
-                out[k] = out.get(k, Fraction(0)) + c
+        for k1, c1 in self._terms:
+            for k2, c2 in other._terms:
+                s, k = unit_product(k1, k2)
+                out[k] = out.get(k, Fraction(0)) + c1 * c2 * s
         return AlgNum(out)
 
     __rmul__ = __mul__

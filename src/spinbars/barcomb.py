@@ -278,7 +278,8 @@ def delta_bar(lam: BarPartition, p: int) -> int:
     return _delta_bar(lam.parts, p)
 
 
-@lru_cache(maxsize=None)
+# 789 entries for every label of alt n=30 at p=3
+@lru_cache(maxsize=1 << 14)
 def _delta_bar(parts: tuple[int, ...], p: int) -> int:
     moves = bar_removals(parts, p)
     if not moves:

@@ -132,11 +132,11 @@ def _cmd_verify(args) -> tuple[list, int]:
 def _cmd_counts(args) -> tuple[list, int]:
     results = []
     for b, _ in _select_blocks(args):
-        report = zverify.verify_basic_set(b)
+        rows, _, _ = zverify.integer_expansion(zverify.restricted_matrix(b))
         entry = _block_json(b)
         entry["basic_set_size"] = len(basic_set(b))
         entry["brauer_count"] = brauer_count(b)
-        entry["rank"] = report.rank_full
+        entry["rank"] = len(zverify.hnf(rows))
         results.append(entry)
     return results, 0
 

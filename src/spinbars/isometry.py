@@ -4,7 +4,10 @@ The swap isometry exchanges one plus/minus pair inside a block; the block
 isometry sends each label to the local label of its quotient with the sign
 prescribed by the relative sign and the size of the strict component.
 Kernels are finite tables over split-class representatives; composition
-weights classes by their sizes.
+weights classes by their sizes.  Kernels and the perfectness check are
+computed on the integer expansion of the block's value table (integer
+coefficients over the units sqrt(d) * i^e, one shared denominator); AlgNum
+appears only in the returned kernel table.
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
 
-from .algnum import AlgNum
+from .algnum import ZERO, AlgNum, unit_product
 from .barcomb import bar_core_quotient, delta_bar, sigma
 from .blocks import SIDE_G, SIDE_H, BlockId, LocalLabel, basic_set, block_members, local_basic_labels
 from .spinchar import MINUS, PLUS, SYM, SpinLabel, SplitClass, char_value, split_classes
-from .zverify import ValueMatrix, p_integrality
+from .zverify import ValueMatrix, integer_expansion, p_integrality
 
 
 class UnsupportedTargetError(ValueError):
@@ -130,22 +136,45 @@ def split_value_matrix(block: BlockId) -> ValueMatrix:
     return ValueMatrix(rows, cols, tuple(tuple(char_value(x, c) for c in cols) for x in rows))
 
 
+@lru_cache(maxsize=8)
+def _block_values(block: BlockId) -> ValueMatrix:
+    """The block's split value table, shared by all its kernels and checks."""
+    return split_value_matrix(block)
+
+
+@lru_cache(maxsize=8)
+def _expanded(values: ValueMatrix) -> tuple[dict, list, int]:
+    """Integer expansion of a value table: (label -> integer row, columns, den)."""
+    rows, columns, den = integer_expansion(values)
+    return dict(zip(values.row_keys, rows)), columns, den
+
+
 def kernel_of(iso: IsometrySpec, source_values: ValueMatrix, target_values: ValueMatrix) -> Kernel:
-    """Kernel table: sum over source labels of sign * conj(value) x image value."""
-    terms = [
-        ([sign * v.conjugate() for v in source_values.row(s)], target_values.row(t))
-        for s, t, sign in iso.mapping
-    ]
-    table = []
-    for i in range(len(source_values.classes)):
-        row = []
-        for j in range(len(target_values.classes)):
-            total = AlgNum()
-            for vs, vt in terms:
-                total = total + vs[i] * vt[j]
-            row.append(total)
-        table.append(tuple(row))
-    return Kernel(source_values.classes, target_values.classes, tuple(table))
+    """Kernel table: sum over source labels of sign * conj(value) x image value.
+
+    Computed on the integer expansions: each pair of integer columns gives
+    an integer sum over the mapping, which the unit product conj(u_k) * u_l
+    carries into the entry of the two columns' classes.
+    """
+    s_rows, s_cols, s_den = _expanded(source_values)
+    t_rows, t_cols, t_den = _expanded(target_values)
+    left = list(zip(*[[sign * a for a in s_rows[s]] for s, _, sign in iso.mapping]))
+    right = list(zip(*[t_rows[t] for _, t, _ in iso.mapping]))
+    sums: dict[tuple[int, int], dict] = {}
+    for (i, k), col_s in zip(s_cols, left):
+        for (j, l), col_t in zip(t_cols, right):
+            total = sum(map(mul, col_s, col_t))
+            if total:
+                c, key = unit_product(k, l)
+                if k[1]:  # conj(u_k) = -u_k when u_k carries i
+                    c = -c
+                cell = sums.setdefault((i, j), {})
+                cell[key] = cell.get(key, 0) + c * total
+    den = s_den * t_den
+    table = [[ZERO] * len(target_values.classes) for _ in source_values.classes]
+    for (i, j), cell in sums.items():
+        table[i][j] = AlgNum({key: Fraction(c, den) for key, c in cell.items()})
+    return Kernel(source_values.classes, target_values.classes, tuple(map(tuple, table)))
 
 
 def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:
@@ -153,7 +182,7 @@ def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:
     for _, t, _ in iso.mapping:
         if not isinstance(t, SpinLabel):
             raise UnsupportedTargetError("kernel needs character values on both sides")
-    values = split_value_matrix(block)
+    values = _block_values(block)
     return kernel_of(iso, values, values)
 
 
@@ -204,31 +233,59 @@ def perfect_check(iso: IsometrySpec, p: int, block: BlockId) -> bool:
 
     Only available for self-isometries of a cover block, where both value
     tables are computable; the isometry acts on arbitrary class functions
-    through orthogonal projection onto the block span.
+    through orthogonal projection onto the block span.  Everything runs on
+    the block's integer expansion A (values = A / den): the Gram matrix over
+    the p-regular classes is kept per unit as integers scaled by L * den^2,
+    L the lcm of their centralizer orders, so both sides of the comparison
+    are integers per (class, unit) after scaling by L * den^3.
     """
     for _, t, _ in iso.mapping:
         if not isinstance(t, SpinLabel):
             raise UnsupportedTargetError("perfectness needs character values on both sides")
-    values = split_value_matrix(block)
+    values = _block_values(block)
+    rows, columns, den = _expanded(values)
     classes = values.classes
-    vec = {x: values.entries[values.row_keys.index(x)] for x in values.row_keys}
-    for chi in values.row_keys:
-        restricted = tuple(
-            v if c.is_regular(p) else AlgNum() for v, c in zip(vec[chi], classes)
-        )
-        # project the restricted function onto the block, then map
-        lhs = [AlgNum()] * len(classes)
-        for eta in values.row_keys:
-            coeff = AlgNum()
-            for v, w, c in zip(restricted, vec[eta], classes):
-                coeff = coeff + v * w.conjugate() * Fraction(1, c.centralizer_order)
-            img, sign = iso.image(eta)
-            if not coeff.is_zero():
-                lhs = [acc + sign * coeff * v for acc, v in zip(lhs, vec[img])]
-        img, sign = iso.image(chi)
-        rhs = [
-            sign * v if c.is_regular(p) else AlgNum() for v, c in zip(vec[img], classes)
-        ]
-        if lhs != rhs:
+    labels = values.row_keys
+    images = {s: (t, sign) for s, t, sign in iso.mapping}
+    regular = [classes[j].is_regular(p) for j, _ in columns]
+    scale = lcm(1, *(c.centralizer_order for c in classes if c.is_regular(p)))
+    # Gram terms (a, b, weight) per unit u_k * conj(u_l), for columns a = (i, k), b = (i, l) of one regular class
+    gram_terms: dict[tuple[int, int], list] = {}
+    for a, (i, k) in enumerate(columns):
+        if not regular[a]:
+            continue
+        for b, (j, l) in enumerate(columns):
+            if j == i:
+                c, key = unit_product(k, l)
+                if l[1]:
+                    c = -c
+                gram_terms.setdefault(key, []).append((a, b, c * scale // classes[i].centralizer_order))
+    gram = {}
+    for key, terms in gram_terms.items():
+        left = [[w * rows[chi][a] for a, _, w in terms] for chi in labels]
+        right = [[rows[eta][b] for _, b, _ in terms] for eta in labels]
+        gram[key] = [[sum(map(mul, x, y)) for y in right] for x in left]
+    mapped_rows = []
+    for eta in labels:
+        img, sign = images[eta]
+        mapped_rows.append([sign * a for a in rows[img]])
+    mapped = list(zip(*mapped_rows))
+    # each Gram unit times each column unit
+    carried = {key: [unit_product(key, k) for _, k in columns] for key in gram}
+    for r, chi in enumerate(labels):
+        lhs: dict[tuple[int, tuple[int, int]], int] = {}
+        for key, g in gram.items():
+            coeffs = g[r]
+            for (j, _), (c, unit), col in zip(columns, carried[key], mapped):
+                v = sum(map(mul, coeffs, col))
+                if v:
+                    lhs[j, unit] = lhs.get((j, unit), 0) + c * v
+        img, sign = images[chi]
+        rhs = {
+            (j, k): sign * scale * den * den * a
+            for (j, k), a, reg in zip(columns, rows[img], regular)
+            if reg and a
+        }
+        if {cell: v for cell, v in lhs.items() if v} != rhs:
             return False
     return True

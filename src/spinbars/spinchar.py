@@ -184,7 +184,8 @@ def split_classes(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# 23,238 entries on all blocks of sym n=25 p=11, 160,960 at n=32 p=11
+@lru_cache(maxsize=1 << 18)
 def _odd_value(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
     """Common value of the labelled spin character(s) on the class of odd type pi.
 

@@ -4,7 +4,8 @@ Everything here recomputes results from definitions: direct bar removal
 instead of the two-runner abacus, diagram border strips instead of beta-set
 moves, exhaustive searches instead of normal forms.  The slow paths that
 the library replaced stay here as references: a scan over every label for
-block members, and an integer expansion with every class x key column.
+block members, an integer expansion with every class x key column, and the
+isometry kernel and perfectness check in AlgNum arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from spinbars.algnum import AlgNum
 from spinbars.blocks import block_of
+from spinbars.isometry import Kernel, split_value_matrix
 from spinbars.spinchar import labels
 
 
@@ -195,3 +198,48 @@ def dense_integer_expansion(matrix) -> tuple[list[list[int]], list, int]:
         out.append(flat)
     columns = [(j, k) for j in range(len(matrix.classes)) for k in keys]
     return out, columns, den
+
+
+def kernel_of_algnum(iso, source_values, target_values) -> Kernel:
+    """Kernel table summed entry by entry in AlgNum arithmetic."""
+    terms = [
+        ([sign * v.conjugate() for v in source_values.row(s)], target_values.row(t))
+        for s, t, sign in iso.mapping
+    ]
+    table = []
+    for i in range(len(source_values.classes)):
+        row = []
+        for j in range(len(target_values.classes)):
+            total = AlgNum()
+            for vs, vt in terms:
+                total = total + vs[i] * vt[j]
+            row.append(total)
+        table.append(tuple(row))
+    return Kernel(source_values.classes, target_values.classes, tuple(table))
+
+
+def perfect_check_algnum(iso, p: int, block) -> bool:
+    """Perfectness by projecting each restricted character in AlgNum arithmetic."""
+    values = split_value_matrix(block)
+    classes = values.classes
+    vec = dict(zip(values.row_keys, values.entries))
+    for chi in values.row_keys:
+        restricted = tuple(
+            v if c.is_regular(p) else AlgNum() for v, c in zip(vec[chi], classes)
+        )
+        # project the restricted function onto the block, then map
+        lhs = [AlgNum()] * len(classes)
+        for eta in values.row_keys:
+            coeff = AlgNum()
+            for v, w, c in zip(restricted, vec[eta], classes):
+                coeff = coeff + v * w.conjugate() * Fraction(1, c.centralizer_order)
+            img, sign = iso.image(eta)
+            if not coeff.is_zero():
+                lhs = [acc + sign * coeff * v for acc, v in zip(lhs, vec[img])]
+        img, sign = iso.image(chi)
+        rhs = [
+            sign * v if c.is_regular(p) else AlgNum() for v, c in zip(vec[img], classes)
+        ]
+        if lhs != rhs:
+            return False
+    return True

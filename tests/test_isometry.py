@@ -28,6 +28,8 @@ from spinbars.isometry import (
     swap_J,
 )
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
+from spinbars.zverify import restricted_matrix
+from oracles import kernel_of_algnum, perfect_check_algnum
 
 
 def num(x):
@@ -296,3 +298,40 @@ class TestKernelOf:
         K1 = kernel_of(identity_iso(b), values, values)
         K2 = block_kernel(identity_iso(b), b)
         assert K1.table == K2.table
+
+
+def _flip_sign(iso: IsometrySpec) -> IsometrySpec:
+    (s, t, sign), *rest = iso.mapping
+    return IsometrySpec(iso.source, iso.target, ((s, t, -sign), *rest))
+
+
+def _transpose(iso: IsometrySpec) -> IsometrySpec:
+    (s0, t0, e0), (s1, t1, e1), *rest = iso.mapping
+    return IsometrySpec(iso.source, iso.target, ((s0, t1, e1), (s1, t0, e0), *rest))
+
+
+class TestIntegerPathsMatchOracles:
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_kernels_and_perfectness(self, group, p):
+        verdicts = {}
+        for n in range(1, 10):
+            for b, members in block_partition(group, n, p):
+                isos = [("identity", identity_iso(b))]
+                if group == SYM:
+                    pairs = sorted({x.lam.parts for x in members if x.tag != SELF})
+                    isos += [("swap", swap_J(b, BarPartition(lam))) for lam in pairs]
+                if len(members) >= 2:
+                    isos += [("fault", _flip_sign(isos[0][1])), ("fault", _transpose(isos[-1][1]))]
+                values = split_value_matrix(b)
+                regular = restricted_matrix(b)  # same rows, other classes and denominator
+                assert kernel_of(isos[0][1], values, regular).table == (
+                    kernel_of_algnum(isos[0][1], values, regular).table
+                ), b
+                for kind, iso in isos:
+                    assert block_kernel(iso, b).table == kernel_of_algnum(iso, values, values).table, (b, iso)
+                    perfect = perfect_check(iso, p, b)
+                    assert perfect == perfect_check_algnum(iso, p, b), (b, iso)
+                    verdicts.setdefault(kind, set()).add(perfect)
+        assert verdicts["identity"] == verdicts.get("swap", {True}) == {True}
+        assert False in verdicts["fault"]

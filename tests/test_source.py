@@ -11,3 +11,26 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unbounded_cache(node) -> bool:
+    """Whether a decorator is functools.cache or lru_cache with maxsize None."""
+    name = node.func if isinstance(node, ast.Call) else node
+    name = name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(node, ast.Call):
+        return False
+    args = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+    return any(isinstance(a, ast.Constant) and a.value is None for a in args)
+
+
+def test_caches_are_bounded():
+    # an unbounded cache grows for the life of the process with every new input
+    found = []
+    for path in sorted(Path(spinbars.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{d.lineno}" for d in node.decorator_list if _unbounded_cache(d)]
+    assert found == []
