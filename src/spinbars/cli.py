@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from . import zverify
 from .barcomb import BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
@@ -97,9 +98,23 @@ def _cmd_basic_set(args) -> tuple[list, int]:
     return results, 0
 
 
+def _values_json(table: zverify.IntegerTable) -> list[list[dict]]:
+    """Each row's values in AlgNum.to_json form, rendered from the integer table."""
+    den = table.den
+    out = []
+    for row in table.rows:
+        cells = [{"re": [], "im": []} for _ in table.classes]
+        for (j, (d, e)), a in zip(table.columns, row):
+            if a:
+                g = gcd(a, den)
+                cells[j]["im" if e else "re"].append([a // g, den // g, d])
+        out.append(cells)
+    return out
+
+
 def _verify_one(b: BlockId) -> dict:
-    matrix = zverify.restricted_matrix(b)
-    report = zverify.z_span_equal(basic_set(b), matrix, b)
+    table = zverify.block_table(b)
+    report = zverify.verify_basic_set(b)
     entry = _block_json(b)
     entry["verdict"] = "pass" if report.verdict else "fail"
     entry["basic_set"] = [_label_json(x) for x in report.candidates]
@@ -113,11 +128,11 @@ def _verify_one(b: BlockId) -> dict:
     ]
     entry["classes"] = [
         {"type": list(c.pi), "branch": c.branch, "centralizer": c.centralizer_order}
-        for c in matrix.classes
+        for c in table.classes
     ]
     entry["matrix"] = [
-        {"label": _label_json(x), "values": [v.to_json() for v in row]}
-        for x, row in zip(matrix.row_keys, matrix.entries)
+        {"label": _label_json(x), "values": values}
+        for x, values in zip(table.row_keys, _values_json(table))
     ]
     return entry
 
@@ -132,11 +147,10 @@ def _cmd_verify(args) -> tuple[list, int]:
 def _cmd_counts(args) -> tuple[list, int]:
     results = []
     for b, _ in _select_blocks(args):
-        rows, _, _ = zverify.integer_expansion(zverify.restricted_matrix(b))
         entry = _block_json(b)
         entry["basic_set_size"] = len(basic_set(b))
         entry["brauer_count"] = brauer_count(b)
-        entry["rank"] = len(zverify.hnf(rows))
+        entry["rank"] = len(zverify.hnf(zverify.block_table(b).rows))
         results.append(entry)
     return results, 0
 

@@ -7,7 +7,9 @@ Kernels are finite tables over split-class representatives; composition
 weights classes by their sizes.  Kernels and the perfectness check are
 computed on the integer expansion of the block's value table (integer
 coefficients over the units sqrt(d) * i^e, one shared denominator); AlgNum
-appears only in the returned kernel table.
+appears only in the returned kernel table.  Broué's integrality condition
+compares integer valuations at p of each entry and of the centralizer
+orders.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .algnum import ZERO, AlgNum, unit_product
 from .barcomb import bar_core_quotient, delta_bar, sigma
 from .blocks import SIDE_G, SIDE_H, BlockId, LocalLabel, basic_set, block_members, local_basic_labels
 from .spinchar import MINUS, PLUS, SYM, SpinLabel, SplitClass, char_value, split_classes
-from .zverify import ValueMatrix, integer_expansion, p_integrality
+from .zverify import ValueMatrix, int_valuation, integer_expansion, least_valuation
 
 
 class UnsupportedTargetError(ValueError):
@@ -212,18 +214,26 @@ class BroueReport:
 
 
 def broue_check(kernel: Kernel, p: int) -> BroueReport:
-    """Centralizer-divisibility and regular/singular support conditions."""
+    """Centralizer-divisibility and regular/singular support conditions.
+
+    Condition (i) asks that each entry divided by either class's centralizer
+    order be integral at p: the least valuation of the entry's coefficients
+    must reach the valuation of both orders.
+    """
+    v_source = [int_valuation(x.centralizer_order, p) for x in kernel.source_classes]
+    v_target = [int_valuation(y.centralizer_order, p) for y in kernel.target_classes]
+    regular = [y.is_regular(p) for y in kernel.target_classes]
     bad_i = []
     bad_ii = []
     for i, x in enumerate(kernel.source_classes):
+        x_regular = x.is_regular(p)
         for j, y in enumerate(kernel.target_classes):
-            v = kernel.table[i][j]
-            if not (
-                p_integrality(v, p, x.centralizer_order)
-                and p_integrality(v, p, y.centralizer_order)
-            ):
+            least = least_valuation(kernel.table[i][j], p)
+            if least is None:
+                continue  # zero satisfies both conditions
+            if least < max(v_source[i], v_target[j]):
                 bad_i.append((x, y))
-            if not v.is_zero() and x.is_regular(p) != y.is_regular(p):
+            if x_regular != regular[j]:
                 bad_ii.append((x, y))
     return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .algnum import AlgNum
+from .algnum import AlgNum, squarefree_split
 from .barcomb import BarPartition, bar_partitions, bar_removals, partitions, sigma
 
 SYM = "sym"
@@ -132,6 +132,11 @@ class SplitClass:
     def is_regular(self, p: int) -> bool:
         return all(a % p for a in self.pi)
 
+    @cached_property
+    def odd_type(self) -> bool:
+        """Whether every cycle length is odd; read once per cell of a value table."""
+        return is_odd_type(self.pi)
+
     def __repr__(self):
         b = f"#{self.branch}" if self.branch else ""
         z = "z." if self.zflag else ""
@@ -208,16 +213,56 @@ def _odd_value(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
     return total
 
 
-def _pair_difference(lam: BarPartition) -> AlgNum:
-    """Value separating the two alternating-cover constituents of a sigma=+1 label.
+def _root_term(m: int, k: int) -> tuple[int, tuple[int, int]]:
+    """(c, (d, e)) with i**m * sqrt(k) = c * sqrt(d) * i**e, d squarefree; k >= 1."""
+    s, d = squarefree_split(k)
+    return (-s if m % 4 >= 2 else s), (d, m % 2)
 
-    Equals i**((n-l)/2) * sqrt(prod of parts); the plus constituent takes the
-    + sign on the canonical first branch (tie-break convention; verification
-    results are invariant under the simultaneous swap).
+
+def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]:
+    """Twice the value of the labelled character on the class at zflag 0, as integers.
+
+    Maps each unit (d, e), meaning sqrt(d) * i**e, to the integer h such
+    that the value is the sum of h/2 times the unit; zero terms are left
+    out.  Label and class must belong to the same cover and the same n.
+    On odd-type classes the value is the bar-strip recursion, halved for
+    alternating-cover pair constituents; on the class of type lam itself a
+    pair also carries the closed form +-i**m * sqrt(d), which the
+    alternating cover adds to the odd part.
     """
-    m = (lam.n - lam.length) // 2
-    z = math.prod(lam.parts)
-    return AlgNum.i_power(m) * AlgNum.sqrt_int(z)
+    lam, pi = x.lam, c.pi
+    odd = c.odd_type
+    if x.group == SYM or x.tag == SELF:
+        if odd:
+            v = _odd_value(lam.parts, pi)
+            return {(1, 0): 2 * v} if v else {}
+        # remaining sym split types are strict with sigma = -1; only the
+        # matching pair is nonzero there, with the classical four-value sign
+        # chain.  An alt self-associate is the restriction of one member of a
+        # sym pair (or the degenerate n=1 label) and vanishes off odd types.
+        if x.group != SYM or x.tag == SELF or pi != lam.parts:
+            return {}
+        h, unit = _root_term((lam.n - lam.length + 1) // 2, math.prod(pi) // 2)
+        return {unit: 2 * h if x.tag == PLUS else -2 * h}
+    # alternating-cover pair: half the sym value, plus half the difference
+    # i**((n-l)/2) * sqrt(prod of parts) on the class of type lam; the plus
+    # constituent takes the + sign on the canonical first branch (tie-break
+    # convention; verification results are invariant under the swap)
+    out = {}
+    if odd:
+        whole = _odd_value(lam.parts, pi)
+        if pi != lam.parts and whole % 2:
+            raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
+        if whole:
+            out[(1, 0)] = whole
+    if pi == lam.parts:
+        h, unit = _root_term((lam.n - lam.length) // 2, math.prod(pi))
+        if (x.tag == MINUS) != (c.branch == 2):
+            h = -h
+        h += out.pop(unit, 0)
+        if h:
+            out[unit] = h
+    return out
 
 
 def char_value(x: SpinLabel, c: SplitClass) -> AlgNum:
@@ -226,40 +271,8 @@ def char_value(x: SpinLabel, c: SplitClass) -> AlgNum:
         raise ValueError(f"label group {x.group} does not match class group {c.group}")
     if x.n != c.n:
         raise ValueError(f"label size {x.n} does not match class size {c.n}")
-    v = _char_value_zflag0(x, c)
-    return -v if c.zflag else v
-
-
-def _char_value_zflag0(x: SpinLabel, c: SplitClass) -> AlgNum:
-    lam, pi = x.lam, c.pi
-    if x.group == SYM:
-        if is_odd_type(pi):
-            return AlgNum.from_rational(_odd_value(lam.parts, pi))
-        # remaining split types are strict with sigma = -1; only the matching
-        # pair is nonzero there, with the classical four-value sign chain
-        if x.tag == SELF or pi != lam.parts:
-            return AlgNum()
-        k = lam.length
-        base = AlgNum.i_power((lam.n - k + 1) // 2) * AlgNum.sqrt_int(math.prod(pi) // 2)
-        return base if x.tag == PLUS else -base
-    # alternating cover
-    if x.tag == SELF:
-        # restriction of one member of a sym pair (or the degenerate n=1 label)
-        return AlgNum.from_rational(_odd_value(lam.parts, pi)) if is_odd_type(pi) else AlgNum()
-    base = AlgNum()
-    if is_odd_type(pi):
-        whole = _odd_value(lam.parts, pi)
-        if pi != lam.parts and whole % 2:
-            raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
-        base = AlgNum.from_rational(Fraction(whole, 2))
-    if pi == lam.parts:
-        delta = _pair_difference(lam) / 2
-        if x.tag == MINUS:
-            delta = -delta
-        if c.branch == 2:
-            delta = -delta
-        base = base + delta
-    return base
+    sign = -1 if c.zflag else 1
+    return AlgNum({unit: Fraction(sign * h, 2) for unit, h in half_coefficients(x, c).items()})
 
 
 def degree(x: SpinLabel) -> int:

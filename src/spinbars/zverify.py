@@ -1,22 +1,27 @@
-"""Restricted value matrices and exact Z-span verification of basic sets.
+"""Block value tables and exact Z-span verification of basic sets.
 
-Each block yields a matrix of exact character values over its p-regular
+Each block yields a table of exact character values over its p-regular
 split classes (zflag 0 only: values at the central translates are exact
-negatives, so any integral relation transfers).  Entries are expanded over
-the Q-linearly independent basis sqrt(d)*i^e with one global denominator,
-reducing every question to integer matrices, which are handled by a
-fraction-free Hermite normal form.
+negatives, so any integral relation transfers).  Every value is a sum of
+integer multiples of the Q-linearly independent units sqrt(d)*i^e over one
+shared denominator (1 or 2), so the table is built as integers straight
+from the value rule in ``spinchar``; ``AlgNum`` appears only at the API and
+JSON boundary (``restricted_matrix``, ``integer_expansion`` and
+``z_span_equal`` take and give exact values).  Every question about the
+table is then one about integer matrices, handled by a fraction-free
+Hermite normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .algnum import AlgNum
 from .blocks import BlockId, basic_set, block_members
-from .spinchar import char_value, split_classes
+from .spinchar import char_value, half_coefficients, split_classes
 
 
 @dataclass(frozen=True)
@@ -49,16 +54,52 @@ class VerificationReport:
     rank_candidate: int
 
 
-def restricted_matrix(block: BlockId) -> ValueMatrix:
-    """Block values over its p-regular split classes at zflag 0."""
-    cols = tuple(
+class IntegerTable(NamedTuple):
+    """A block's values over its p-regular split classes at zflag 0, as integers.
+
+    ``columns`` lists (class index, (d, e)) pairs in sorted order, only those
+    nonzero in some row; the value of row r on class j is the sum over its
+    columns (j, (d, e)) of rows[r][t] / den * sqrt(d) * i^e.  Numbers and
+    layout are those of ``integer_expansion(restricted_matrix(block))``.
+    A named tuple rather than a frozen dataclass: the class is created
+    when the CLI starts, and a frozen dataclass takes ten times as long.
+    """
+
+    row_keys: tuple
+    classes: tuple
+    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, tuple[int, int]], ...]
+    den: int
+
+
+def _regular_classes(block: BlockId) -> tuple:
+    return tuple(
         c
         for c in split_classes(block.n, regular_only_for=block.p, group=block.group)
         if c.zflag == 0
     )
+
+
+def restricted_matrix(block: BlockId) -> ValueMatrix:
+    """Block values over its p-regular split classes at zflag 0."""
+    cols = _regular_classes(block)
     rows = block_members(block)
     entries = tuple(tuple(char_value(x, c) for c in cols) for x in rows)
     return ValueMatrix(rows, cols, entries)
+
+
+# one table per block; a verify run reads each block's table twice in a row
+@lru_cache(maxsize=8)
+def block_table(block: BlockId) -> IntegerTable:
+    """The block's integer value table, built from the integer value rule."""
+    classes = _regular_classes(block)
+    row_keys = block_members(block)
+    cells = [[half_coefficients(x, c) for c in classes] for x in row_keys]
+    columns = sorted({(j, unit) for row in cells for j, cell in enumerate(row) for unit in cell})
+    # the rule gives twice each coefficient: den is 2 when one of them is odd
+    den = 2 if any(h % 2 for row in cells for cell in row for h in cell.values()) else 1
+    rows = tuple(tuple(row[j].get(unit, 0) * den // 2 for j, unit in columns) for row in cells)
+    return IntegerTable(row_keys, classes, rows, tuple(columns), den)
 
 
 def integer_expansion(matrix: ValueMatrix) -> tuple[list[list[int]], list, int]:
@@ -135,6 +176,32 @@ def integral_coordinates(target: list[int], H: list[list[int]], U: list[list[int
     return tuple(sum(y[i] * U[i][j] for i in range(k)) for j in range(k))
 
 
+def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block: BlockId | None) -> VerificationReport:
+    """The Z-span decision on integer rows, one per row key."""
+    by_key = dict(zip(row_keys, int_rows))
+    cand = [by_key[key] for key in candidate_keys]
+    k = len(cand)
+    coordinates = {}
+    rank = 0
+    if k == 0:
+        ok = all(not any(row) for row in int_rows)
+    else:
+        H, U, rank = hnf(cand, transform=True)
+        ok = rank == k
+        chosen = set(candidate_keys)
+        for key in row_keys:
+            if key in chosen:
+                continue
+            coords = integral_coordinates(by_key[key], H, U, rank, k)
+            coordinates[key] = coords
+            if coords is None:
+                ok = False
+    # on a pass the k candidate rows are independent and every other row is
+    # an integral combination of them, so the full rank is k
+    rank_full = k if ok else len(hnf(int_rows))
+    return VerificationReport(block, candidate_keys, ok, coordinates, rank_full, rank)
+
+
 def z_span_equal(candidate_keys, matrix: ValueMatrix, block: BlockId | None = None) -> VerificationReport:
     """Decide whether the candidate rows are a Z-basis of the full row span."""
     candidate_keys = tuple(candidate_keys)
@@ -142,44 +209,37 @@ def z_span_equal(candidate_keys, matrix: ValueMatrix, block: BlockId | None = No
         if key not in matrix.row_keys:
             raise ValueError(f"candidate row {key} not among the matrix rows")
     int_rows, _, _ = integer_expansion(matrix)
-    by_key = dict(zip(matrix.row_keys, int_rows))
-    cand = [by_key[key] for key in candidate_keys]
-    k = len(cand)
-    if k == 0:
-        others_zero = all(not any(by_key[key]) for key in matrix.row_keys)
-        return VerificationReport(block, candidate_keys, others_zero, {}, len(hnf(int_rows)), 0)
-    H, U, rank = hnf(cand, transform=True)
-    coordinates = {}
-    ok = rank == k
-    for key in matrix.row_keys:
-        if key in candidate_keys:
-            continue
-        coords = integral_coordinates(by_key[key], H, U, rank, k)
-        coordinates[key] = coords
-        if coords is None:
-            ok = False
-    rank_full = len(hnf(int_rows))
-    return VerificationReport(block, candidate_keys, ok, coordinates, rank_full, rank)
+    return _z_span(candidate_keys, matrix.row_keys, int_rows, block)
 
 
 def verify_basic_set(block: BlockId) -> VerificationReport:
     """Check that the empty-strict-component labels are a Z-basis of the block span."""
-    return z_span_equal(basic_set(block), restricted_matrix(block), block)
+    table = block_table(block)
+    return _z_span(basic_set(block), table.row_keys, table.rows, block)
 
 
-def padic_valuation(q: Fraction, p: int) -> int | None:
-    """Valuation of a nonzero rational at p; None stands for +infinity at 0."""
-    if q == 0:
-        return None
+def int_valuation(m: int, p: int) -> int:
+    """Exponent of p in the nonzero integer m."""
     v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
+    while m % p == 0:
+        m //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
+
+
+def least_valuation(v: AlgNum, p: int) -> int | None:
+    """Least valuation at p of v's coefficients over the radical basis; None at 0.
+
+    Each coefficient is a reduced fraction, so p divides a numerator only
+    where it does not divide the denominator: the least valuation is that
+    of the gcd of the numerators minus that of the lcm of the denominators.
+    """
+    if v.is_zero():
+        return None
+    coeffs = [c for _, c in v.terms]
+    num = gcd(*(c.numerator for c in coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
+    return int_valuation(num, p) - int_valuation(den, p)
 
 
 def p_integrality(v: AlgNum, p: int, denominator: int) -> bool:
@@ -192,9 +252,5 @@ def p_integrality(v: AlgNum, p: int, denominator: int) -> bool:
     """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
-    vden = padic_valuation(Fraction(denominator), p)
-    for c in v.coefficients().values():
-        vc = padic_valuation(c, p)
-        if vc is not None and vc < vden:
-            return False
-    return True
+    least = least_valuation(v, p)
+    return least is None or least >= int_valuation(denominator, p)

@@ -4,8 +4,9 @@ Everything here recomputes results from definitions: direct bar removal
 instead of the two-runner abacus, diagram border strips instead of beta-set
 moves, exhaustive searches instead of normal forms.  The slow paths that
 the library replaced stay here as references: a scan over every label for
-block members, an integer expansion with every class x key column, and the
-isometry kernel and perfectness check in AlgNum arithmetic.
+block members, an integer expansion with every class x key column, the
+isometry kernel and perfectness check in AlgNum arithmetic, and the Broué
+check coefficient by coefficient in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import lcm
 
 from spinbars.algnum import AlgNum
 from spinbars.blocks import block_of
-from spinbars.isometry import Kernel, split_value_matrix
+from spinbars.isometry import BroueReport, Kernel, split_value_matrix
 from spinbars.spinchar import labels
 
 
@@ -243,3 +244,33 @@ def perfect_check_algnum(iso, p: int, block) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def _valuation(q: Fraction, p: int) -> int:
+    """Valuation at p of a nonzero rational, by repeated division."""
+    v = 0
+    while q.numerator % p == 0:
+        q /= p
+        v += 1
+    while q.denominator % p == 0:
+        q *= p
+        v -= 1
+    return v
+
+
+def broue_check_by_coefficients(kernel, p: int) -> BroueReport:
+    """Broué's two conditions, dividing every coefficient of every entry by each class's order."""
+    bad_i = []
+    bad_ii = []
+    for i, x in enumerate(kernel.source_classes):
+        for j, y in enumerate(kernel.target_classes):
+            v = kernel.table[i][j]
+            if not all(
+                _valuation(c / z.centralizer_order, p) >= 0
+                for c in v.coefficients().values()
+                for z in (x, y)
+            ):
+                bad_i.append((x, y))
+            if not v.is_zero() and x.is_regular(p) != y.is_regular(p):
+                bad_ii.append((x, y))
+    return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))

@@ -40,7 +40,7 @@ from spinbars.spinchar import (
     inner_product,
     value_vector,
 )
-from spinbars.zverify import restricted_matrix, verify_basic_set
+from spinbars.zverify import block_table, hnf, restricted_matrix, verify_basic_set
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -136,7 +136,8 @@ def test_criterion_5_counting():
             for n in range(1, 13):
                 for block, _ in block_partition(group, n, p):
                     rep = verify_basic_set(block)
-                    assert len(basic_set(block)) == brauer_count(block) == rep.rank_full, block
+                    rank = len(hnf(block_table(block).rows))
+                    assert len(basic_set(block)) == brauer_count(block) == rank == rep.rank_full, block
                     checked += 1
     report("criterion 5 (counting)", f"{checked} blocks, all three counts agree")
 

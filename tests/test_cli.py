@@ -124,22 +124,39 @@ class TestContract:
         assert exc.value.code == 2
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
-        # force a failing verdict to exercise the exit-code contract
+        # force a failing verdict to exercise the exit-code contract; the CLI
+        # decides each block through zverify.verify_basic_set
         from spinbars import zverify
 
-        real = zverify.z_span_equal
+        real = zverify.verify_basic_set
 
-        def sabotaged(candidates, matrix, block=None):
-            rep = real(candidates, matrix, block)
+        def sabotaged(block):
+            rep = real(block)
             return zverify.VerificationReport(
                 rep.block, rep.candidates, False, rep.coordinates, rep.rank_full, rep.rank_candidate
             )
 
-        monkeypatch.setattr(zverify, "z_span_equal", sabotaged)
+        monkeypatch.setattr(zverify, "verify_basic_set", sabotaged)
         status, out = run_cli(capsys, "verify", "--n", "3", "--p", "3")
         assert status == 1
         payload = json.loads(out)
         assert payload["results"][0]["summary"]["fail"] == 1
+
+    def test_verify_and_counts_never_build_algnum_values(self, capsys, monkeypatch):
+        # the CLI reads integer tables; AlgNum values stay at the API boundary
+        from spinbars import isometry, spinchar, zverify
+
+        def boom(x, c):
+            raise RuntimeError("char_value on the verify path")
+
+        for module in (spinchar, zverify, isometry):
+            monkeypatch.setattr(module, "char_value", boom)
+        zverify.block_table.cache_clear()  # tables must be built under the patch
+        for group in ("sym", "alt"):
+            for verb in ("verify", "counts"):
+                status, out = run_cli(capsys, verb, "--group", group, "--n", "9", "--p", "3")
+                assert status == 0
+                validate(json.loads(out))
 
     def test_byte_identical_reruns(self, capsys, monkeypatch):
         args = ["verify", "--group", "alt", "--n", "6", "--p", "3"]

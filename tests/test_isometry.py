@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from spinbars.algnum import AlgNum
@@ -29,7 +31,7 @@ from spinbars.isometry import (
 )
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
 from spinbars.zverify import restricted_matrix
-from oracles import kernel_of_algnum, perfect_check_algnum
+from oracles import broue_check_by_coefficients, kernel_of_algnum, perfect_check_algnum
 
 
 def num(x):
@@ -300,6 +302,12 @@ class TestKernelOf:
         assert K1.table == K2.table
 
 
+def _failed(kind: str, report) -> set:
+    """(kind, condition) for each Broué condition the report fails."""
+    bad = {"i": report.integrality_failures, "ii": report.support_failures}
+    return {(kind, cond) for cond, pairs in bad.items() if pairs}
+
+
 def _flip_sign(iso: IsometrySpec) -> IsometrySpec:
     (s, t, sign), *rest = iso.mapping
     return IsometrySpec(iso.source, iso.target, ((s, t, -sign), *rest))
@@ -315,6 +323,7 @@ class TestIntegerPathsMatchOracles:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_kernels_and_perfectness(self, group, p):
         verdicts = {}
+        failures = set()
         for n in range(1, 10):
             for b, members in block_partition(group, n, p):
                 isos = [("identity", identity_iso(b))]
@@ -329,9 +338,20 @@ class TestIntegerPathsMatchOracles:
                     kernel_of_algnum(isos[0][1], values, regular).table
                 ), b
                 for kind, iso in isos:
-                    assert block_kernel(iso, b).table == kernel_of_algnum(iso, values, values).table, (b, iso)
+                    K = block_kernel(iso, b)
+                    assert K.table == kernel_of_algnum(iso, values, values).table, (b, iso)
                     perfect = perfect_check(iso, p, b)
                     assert perfect == perfect_check_algnum(iso, p, b), (b, iso)
                     verdicts.setdefault(kind, set()).add(perfect)
+                    broue = broue_check(K, p)
+                    assert broue == broue_check_by_coefficients(K, p), (b, iso)
+                    failures.update(_failed(kind, broue))
+                # dividing a kernel by p breaks condition (i) wherever p does not divide it
+                K = block_kernel(isos[0][1], b)
+                thin = Kernel(K.source_classes, K.target_classes, tuple(tuple(v * Fraction(1, p) for v in row) for row in K.table))
+                broue = broue_check(thin, p)
+                assert broue == broue_check_by_coefficients(thin, p), b
+                failures.update(_failed("thin", broue))
         assert verdicts["identity"] == verdicts.get("swap", {True}) == {True}
         assert False in verdicts["fault"]
+        assert ("thin", "i") in failures

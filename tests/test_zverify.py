@@ -9,6 +9,7 @@ from spinbars.blocks import BlockId, basic_set, block_members, block_partition, 
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, is_odd_type
 from spinbars.zverify import (
     ValueMatrix,
+    block_table,
     hnf,
     integer_expansion,
     p_integrality,
@@ -150,7 +151,8 @@ class TestVerifyBasicSet:
                 for b, _ in block_partition(group, n, p):
                     rep = verify_basic_set(b)
                     assert rep.verdict
-                    assert rep.rank_full == len(basic_set(b)) == brauer_count(b)
+                    rank = len(hnf(block_table(b).rows))
+                    assert rep.rank_full == rank == len(basic_set(b)) == brauer_count(b)
 
     def test_alt_n6_golden_block(self):
         # the weight-2 block of the alternating cover at n=6, p=3: split
@@ -187,7 +189,7 @@ class TestVerifyBasicSet:
                 for b, _ in block_partition(group, n, 11):
                     rep = verify_basic_set(b)
                     assert rep.verdict
-                    assert rep.rank_full == brauer_count(b)
+                    assert rep.rank_full == len(hnf(block_table(b).rows)) == brauer_count(b)
 
     def test_alt_verdict_invariant_under_pair_swap(self):
         # swapping the two constituents permutes candidate rows; the span is unchanged
@@ -269,6 +271,25 @@ class TestOracles:
                         with monkeypatch.context() as patch:
                             patch.setattr(zverify, "integer_expansion", dense_integer_expansion)
                             dense = z_span_equal(basic_set(b), m, b)
+                        table = verify_basic_set(b)
                         assert (sparse.verdict, sparse.coordinates, sparse.rank_full, sparse.rank_candidate) == (
                             dense.verdict, dense.coordinates, dense.rank_full, dense.rank_candidate
-                        ), b
+                        ) == (table.verdict, table.coordinates, table.rank_full, table.rank_candidate), b
+
+    def test_integer_table_and_rendering_match_the_algnum_path(self):
+        from spinbars.cli import _values_json
+
+        blocks = 0
+        for group in (SYM, ALT):
+            for p in (3, 5, 7, 11):
+                for n in range(1, 15):
+                    for b, _ in block_partition(group, n, p):
+                        table = block_table(b)
+                        m = restricted_matrix(b)
+                        rows, columns, den = integer_expansion(m)
+                        assert (table.row_keys, table.classes) == (m.row_keys, m.classes), b
+                        assert ([list(r) for r in table.rows], list(table.columns), table.den) == (rows, columns, den), b
+                        assert table.den in (1, 2)
+                        assert _values_json(table) == [[v.to_json() for v in row] for row in m.entries], b
+                        blocks += 1
+        assert blocks == 388
