@@ -184,7 +184,7 @@ def _cmd_isometry(args) -> tuple[list, int]:
                     {
                         "pair": list(lam),
                         "broue": broue_check(kernel, b.p).passed,
-                        "perfect": perfect_check(J, b.p, b),
+                        "perfect": perfect_check(J, b),
                     }
                 )
         entry["swaps"] = swaps

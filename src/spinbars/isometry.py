@@ -5,11 +5,11 @@ isometry sends each label to the local label of its quotient with the sign
 prescribed by the relative sign and the size of the strict component.
 Kernels are finite tables over split-class representatives; composition
 weights classes by their sizes.  Kernels and the perfectness check are
-computed on the integer expansion of the block's value table (integer
-coefficients over the units sqrt(d) * i^e, one shared denominator); AlgNum
-appears only in the returned kernel table.  Broué's integrality condition
-compares integer valuations at p of each entry and of the centralizer
-orders.
+computed on the block's integer value table over every split class
+(``zverify.split_table``: integer coefficients over the units
+sqrt(d) * i^e, one shared denominator); AlgNum appears only in the
+returned kernel table.  Broué's integrality condition compares integer
+valuations at p of each entry and of the centralizer orders.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -25,7 +24,7 @@ from .algnum import ZERO, AlgNum, unit_product
 from .barcomb import bar_core_quotient, delta_bar, sigma
 from .blocks import SIDE_G, SIDE_H, BlockId, LocalLabel, basic_set, block_members, local_basic_labels
 from .spinchar import MINUS, PLUS, SYM, SpinLabel, SplitClass, char_value, split_classes
-from .zverify import ValueMatrix, int_valuation, integer_expansion, least_valuation
+from .zverify import IntegerTable, ValueMatrix, int_valuation, least_valuation, split_table
 
 
 class UnsupportedTargetError(ValueError):
@@ -138,33 +137,20 @@ def split_value_matrix(block: BlockId) -> ValueMatrix:
     return ValueMatrix(rows, cols, tuple(tuple(char_value(x, c) for c in cols) for x in rows))
 
 
-@lru_cache(maxsize=8)
-def _block_values(block: BlockId) -> ValueMatrix:
-    """The block's split value table, shared by all its kernels and checks."""
-    return split_value_matrix(block)
-
-
-@lru_cache(maxsize=8)
-def _expanded(values: ValueMatrix) -> tuple[dict, list, int]:
-    """Integer expansion of a value table: (label -> integer row, columns, den)."""
-    rows, columns, den = integer_expansion(values)
-    return dict(zip(values.row_keys, rows)), columns, den
-
-
-def kernel_of(iso: IsometrySpec, source_values: ValueMatrix, target_values: ValueMatrix) -> Kernel:
+def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> Kernel:
     """Kernel table: sum over source labels of sign * conj(value) x image value.
 
-    Computed on the integer expansions: each pair of integer columns gives
-    an integer sum over the mapping, which the unit product conj(u_k) * u_l
+    Computed on the integer tables: each pair of integer columns gives an
+    integer sum over the mapping, which the unit product conj(u_k) * u_l
     carries into the entry of the two columns' classes.
     """
-    s_rows, s_cols, s_den = _expanded(source_values)
-    t_rows, t_cols, t_den = _expanded(target_values)
+    s_rows = dict(zip(source.row_keys, source.rows))
+    t_rows = dict(zip(target.row_keys, target.rows))
     left = list(zip(*[[sign * a for a in s_rows[s]] for s, _, sign in iso.mapping]))
     right = list(zip(*[t_rows[t] for _, t, _ in iso.mapping]))
     sums: dict[tuple[int, int], dict] = {}
-    for (i, k), col_s in zip(s_cols, left):
-        for (j, l), col_t in zip(t_cols, right):
+    for (i, k), col_s in zip(source.columns, left):
+        for (j, l), col_t in zip(target.columns, right):
             total = sum(map(mul, col_s, col_t))
             if total:
                 c, key = unit_product(k, l)
@@ -172,11 +158,11 @@ def kernel_of(iso: IsometrySpec, source_values: ValueMatrix, target_values: Valu
                     c = -c
                 cell = sums.setdefault((i, j), {})
                 cell[key] = cell.get(key, 0) + c * total
-    den = s_den * t_den
-    table = [[ZERO] * len(target_values.classes) for _ in source_values.classes]
+    den = source.den * target.den
+    table = [[ZERO] * len(target.classes) for _ in source.classes]
     for (i, j), cell in sums.items():
         table[i][j] = AlgNum({key: Fraction(c, den) for key, c in cell.items()})
-    return Kernel(source_values.classes, target_values.classes, tuple(map(tuple, table)))
+    return Kernel(source.classes, target.classes, tuple(map(tuple, table)))
 
 
 def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:
@@ -184,8 +170,8 @@ def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:
     for _, t, _ in iso.mapping:
         if not isinstance(t, SpinLabel):
             raise UnsupportedTargetError("kernel needs character values on both sides")
-    values = _block_values(block)
-    return kernel_of(iso, values, values)
+    table = split_table(block)
+    return kernel_of(iso, table, table)
 
 
 def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
@@ -238,24 +224,25 @@ def broue_check(kernel: Kernel, p: int) -> BroueReport:
     return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))
 
 
-def perfect_check(iso: IsometrySpec, p: int, block: BlockId) -> bool:
+def perfect_check(iso: IsometrySpec, block: BlockId) -> bool:
     """Whether mapping after restriction equals restriction after mapping.
 
     Only available for self-isometries of a cover block, where both value
     tables are computable; the isometry acts on arbitrary class functions
-    through orthogonal projection onto the block span.  Everything runs on
-    the block's integer expansion A (values = A / den): the Gram matrix over
-    the p-regular classes is kept per unit as integers scaled by L * den^2,
+    through orthogonal projection onto the block span, and restriction is
+    to the classes regular at the block's prime.  Everything runs on the
+    block's integer table A (values = A / den): the Gram matrix over the
+    p-regular classes is kept per unit as integers scaled by L * den^2,
     L the lcm of their centralizer orders, so both sides of the comparison
     are integers per (class, unit) after scaling by L * den^3.
     """
     for _, t, _ in iso.mapping:
         if not isinstance(t, SpinLabel):
             raise UnsupportedTargetError("perfectness needs character values on both sides")
-    values = _block_values(block)
-    rows, columns, den = _expanded(values)
-    classes = values.classes
-    labels = values.row_keys
+    p = block.p
+    table = split_table(block)
+    classes, labels, columns, den = table.classes, table.row_keys, table.columns, table.den
+    rows = dict(zip(labels, table.rows))
     images = {s: (t, sign) for s, t, sign in iso.mapping}
     regular = [classes[j].is_regular(p) for j, _ in columns]
     scale = lcm(1, *(c.centralizer_order for c in classes if c.is_regular(p)))

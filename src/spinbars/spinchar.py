@@ -169,20 +169,12 @@ def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], i
 
 
 @lru_cache(maxsize=16)
-def split_classes(
-    n: int, regular_only_for: int | None = None, group: str = SYM
-) -> tuple[SplitClass, ...]:
-    """Split classes of the cover, both z-parities, canonical order.
-
-    With ``regular_only_for=p`` only classes whose type has all parts coprime
-    to p are kept (the p-regular split classes).
-    """
+def split_classes(n: int, group: str = SYM) -> tuple[SplitClass, ...]:
+    """Split classes of the cover, both z-parities, canonical order."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
     for pi, branches, cent in _class_types(group, n):
-        if regular_only_for is not None and any(a % regular_only_for == 0 for a in pi):
-            continue
         for branch in branches:
             for zflag in (0, 1):
                 out.append(SplitClass(group, pi, zflag, branch, cent))
@@ -220,7 +212,7 @@ def _root_term(m: int, k: int) -> tuple[int, tuple[int, int]]:
 
 
 def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]:
-    """Twice the value of the labelled character on the class at zflag 0, as integers.
+    """Twice the value of the labelled character on the class, as integers.
 
     Maps each unit (d, e), meaning sqrt(d) * i**e, to the integer h such
     that the value is the sum of h/2 times the unit; zero terms are left
@@ -228,14 +220,15 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
     On odd-type classes the value is the bar-strip recursion, halved for
     alternating-cover pair constituents; on the class of type lam itself a
     pair also carries the closed form +-i**m * sqrt(d), which the
-    alternating cover adds to the odd part.
+    alternating cover adds to the odd part.  A spin character is odd under
+    the central element, so every value at zflag 1 is negated.
     """
     lam, pi = x.lam, c.pi
     odd = c.odd_type
     if x.group == SYM or x.tag == SELF:
         if odd:
             v = _odd_value(lam.parts, pi)
-            return {(1, 0): 2 * v} if v else {}
+            return {(1, 0): -2 * v if c.zflag else 2 * v} if v else {}
         # remaining sym split types are strict with sigma = -1; only the
         # matching pair is nonzero there, with the classical four-value sign
         # chain.  An alt self-associate is the restriction of one member of a
@@ -243,7 +236,9 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
         if x.group != SYM or x.tag == SELF or pi != lam.parts:
             return {}
         h, unit = _root_term((lam.n - lam.length + 1) // 2, math.prod(pi) // 2)
-        return {unit: 2 * h if x.tag == PLUS else -2 * h}
+        if (x.tag == MINUS) ^ (c.zflag == 1):
+            h = -h
+        return {unit: 2 * h}
     # alternating-cover pair: half the sym value, plus half the difference
     # i**((n-l)/2) * sqrt(prod of parts) on the class of type lam; the plus
     # constituent takes the + sign on the canonical first branch (tie-break
@@ -254,10 +249,10 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
         if pi != lam.parts and whole % 2:
             raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
         if whole:
-            out[(1, 0)] = whole
+            out[(1, 0)] = -whole if c.zflag else whole
     if pi == lam.parts:
         h, unit = _root_term((lam.n - lam.length) // 2, math.prod(pi))
-        if (x.tag == MINUS) != (c.branch == 2):
+        if (x.tag == MINUS) ^ (c.branch == 2) ^ (c.zflag == 1):
             h = -h
         h += out.pop(unit, 0)
         if h:
@@ -271,8 +266,7 @@ def char_value(x: SpinLabel, c: SplitClass) -> AlgNum:
         raise ValueError(f"label group {x.group} does not match class group {c.group}")
     if x.n != c.n:
         raise ValueError(f"label size {x.n} does not match class size {c.n}")
-    sign = -1 if c.zflag else 1
-    return AlgNum({unit: Fraction(sign * h, 2) for unit, h in half_coefficients(x, c).items()})
+    return AlgNum({unit: Fraction(h, 2) for unit, h in half_coefficients(x, c).items()})
 
 
 def degree(x: SpinLabel) -> int:

@@ -1,15 +1,17 @@
 """Block value tables and exact Z-span verification of basic sets.
 
-Each block yields a table of exact character values over its p-regular
-split classes (zflag 0 only: values at the central translates are exact
-negatives, so any integral relation transfers).  Every value is a sum of
-integer multiples of the Q-linearly independent units sqrt(d)*i^e over one
-shared denominator (1 or 2), so the table is built as integers straight
-from the value rule in ``spinchar``; ``AlgNum`` appears only at the API and
-JSON boundary (``restricted_matrix``, ``integer_expansion`` and
-``z_span_equal`` take and give exact values).  Every question about the
-table is then one about integer matrices, handled by a fraction-free
-Hermite normal form.
+Every character value is a sum of integer multiples of the Q-linearly
+independent units sqrt(d)*i^e over one shared denominator (1 or 2), so a
+block's value table is built as integers straight from the value rule in
+``spinchar``, in one place (``_integer_table``).  ``block_table`` covers
+the block's p-regular split classes at zflag 0 (values at the central
+translates are exact negatives, so any integral relation transfers) for
+the Z-span decision; ``split_table`` covers every split class, both
+z-parities, for the kernels and the perfectness check in ``isometry``.
+``AlgNum`` appears only at the API and JSON boundary
+(``restricted_matrix``, ``integer_expansion`` and ``z_span_equal`` take
+and give exact values).  Every question about the table is then one
+about integer matrices, handled by a fraction-free Hermite normal form.
 """
 
 from __future__ import annotations
@@ -55,12 +57,13 @@ class VerificationReport:
 
 
 class IntegerTable(NamedTuple):
-    """A block's values over its p-regular split classes at zflag 0, as integers.
+    """A block's values over a list of its split classes, as integers.
 
     ``columns`` lists (class index, (d, e)) pairs in sorted order, only those
     nonzero in some row; the value of row r on class j is the sum over its
     columns (j, (d, e)) of rows[r][t] / den * sqrt(d) * i^e.  Numbers and
-    layout are those of ``integer_expansion(restricted_matrix(block))``.
+    layout are those of ``integer_expansion`` on the exact values of the
+    same rows and classes.
     A named tuple rather than a frozen dataclass: the class is created
     when the CLI starts, and a frozen dataclass takes ten times as long.
     """
@@ -72,34 +75,42 @@ class IntegerTable(NamedTuple):
     den: int
 
 
-def _regular_classes(block: BlockId) -> tuple:
-    return tuple(
-        c
-        for c in split_classes(block.n, regular_only_for=block.p, group=block.group)
-        if c.zflag == 0
-    )
+# the same for every block of one (group, n, p): filtered once, not once per block
+@lru_cache(maxsize=16)
+def _regular_classes(group: str, n: int, p: int) -> tuple:
+    return tuple(c for c in split_classes(n, group=group) if c.zflag == 0 and c.is_regular(p))
 
 
 def restricted_matrix(block: BlockId) -> ValueMatrix:
     """Block values over its p-regular split classes at zflag 0."""
-    cols = _regular_classes(block)
+    cols = _regular_classes(block.group, block.n, block.p)
     rows = block_members(block)
     entries = tuple(tuple(char_value(x, c) for c in cols) for x in rows)
     return ValueMatrix(rows, cols, entries)
 
 
-# one table per block; a verify run reads each block's table twice in a row
-@lru_cache(maxsize=8)
-def block_table(block: BlockId) -> IntegerTable:
-    """The block's integer value table, built from the integer value rule."""
-    classes = _regular_classes(block)
-    row_keys = block_members(block)
+def _integer_table(row_keys: tuple, classes: tuple) -> IntegerTable:
+    """The integer value table of the labels over the classes, from the integer value rule."""
     cells = [[half_coefficients(x, c) for c in classes] for x in row_keys]
     columns = sorted({(j, unit) for row in cells for j, cell in enumerate(row) for unit in cell})
     # the rule gives twice each coefficient: den is 2 when one of them is odd
     den = 2 if any(h % 2 for row in cells for cell in row for h in cell.values()) else 1
     rows = tuple(tuple(row[j].get(unit, 0) * den // 2 for j, unit in columns) for row in cells)
     return IntegerTable(row_keys, classes, rows, tuple(columns), den)
+
+
+# one table per block; a verify run reads each block's table twice in a row
+@lru_cache(maxsize=8)
+def block_table(block: BlockId) -> IntegerTable:
+    """The block's integer value table over its p-regular split classes at zflag 0."""
+    return _integer_table(block_members(block), _regular_classes(block.group, block.n, block.p))
+
+
+# one table per block, read by each of its kernels and perfectness checks
+@lru_cache(maxsize=8)
+def split_table(block: BlockId) -> IntegerTable:
+    """The block's integer value table over every split class, both z-parities."""
+    return _integer_table(block_members(block), split_classes(block.n, group=block.group))
 
 
 def integer_expansion(matrix: ValueMatrix) -> tuple[list[list[int]], list, int]:
@@ -220,6 +231,8 @@ def verify_basic_set(block: BlockId) -> VerificationReport:
 
 def int_valuation(m: int, p: int) -> int:
     """Exponent of p in the nonzero integer m."""
+    if p < 2 or m == 0:
+        raise ValueError(f"no valuation of {m} at {p}: needs p >= 2 and m != 0")
     v = 0
     while m % p == 0:
         m //= p
@@ -252,5 +265,6 @@ def p_integrality(v: AlgNum, p: int, denominator: int) -> bool:
     """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
+    needed = int_valuation(denominator, p)
     least = least_valuation(v, p)
-    return least is None or least >= int_valuation(denominator, p)
+    return least is None or least >= needed

@@ -147,13 +147,14 @@ class TestContract:
         from spinbars import isometry, spinchar, zverify
 
         def boom(x, c):
-            raise RuntimeError("char_value on the verify path")
+            raise RuntimeError("char_value on the CLI path")
 
         for module in (spinchar, zverify, isometry):
             monkeypatch.setattr(module, "char_value", boom)
         zverify.block_table.cache_clear()  # tables must be built under the patch
+        zverify.split_table.cache_clear()
         for group in ("sym", "alt"):
-            for verb in ("verify", "counts"):
+            for verb in ("verify", "counts", "isometry"):
                 status, out = run_cli(capsys, verb, "--group", group, "--n", "9", "--p", "3")
                 assert status == 0
                 validate(json.loads(out))

@@ -30,7 +30,7 @@ from spinbars.isometry import (
     swap_J,
 )
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
-from spinbars.zverify import restricted_matrix
+from spinbars.zverify import block_table, p_integrality, restricted_matrix, split_table
 from oracles import broue_check_by_coefficients, kernel_of_algnum, perfect_check_algnum
 
 
@@ -251,6 +251,15 @@ class TestBroue:
         rep = broue_check(bad, 3)
         assert not rep.passed and rep.support_failures
 
+    def test_p_below_2_raises_at_once(self):
+        # the valuation loop never ends at p = 1 and divides by zero at p = 0
+        K = block_kernel(identity_iso(block_n3()), block_n3())
+        for p in (1, 0):
+            with pytest.raises(ValueError):
+                p_integrality(num(2), p, 6)
+            with pytest.raises(ValueError):
+                broue_check(K, p)
+
     @pytest.mark.parametrize("p", [3, 5])
     def test_sweep(self, p):
         for n in range(2, 10):
@@ -277,29 +286,31 @@ class TestAltCoverKernels:
             for b, _ in block_partition(ALT, n, 3):
                 K = block_kernel(identity_iso(b), b)
                 assert broue_check(K, 3).passed, b
-                assert perfect_check(identity_iso(b), 3, b), b
+                assert perfect_check(identity_iso(b), b), b
 
 
 class TestPerfect:
     def test_identity(self):
-        assert perfect_check(identity_iso(block_n3()), 3, block_n3())
+        assert perfect_check(identity_iso(block_n3()), block_n3())
 
     def test_swap_n3_n4(self):
-        assert perfect_check(swap_J(block_n3(), BarPartition((2, 1))), 3, block_n3())
-        assert perfect_check(swap_J(block_n4(), BarPartition((4,))), 3, block_n4())
+        assert perfect_check(swap_J(block_n3(), BarPartition((2, 1))), block_n3())
+        assert perfect_check(swap_J(block_n4(), BarPartition((4,))), block_n4())
 
     def test_unsupported_target(self):
         with pytest.raises(UnsupportedTargetError):
-            perfect_check(iso_I(block_n3()), 3, block_n3())
+            perfect_check(iso_I(block_n3()), block_n3())
 
 
 class TestKernelOf:
     def test_matches_block_kernel(self):
         b = block_n3()
-        values = split_value_matrix(b)
-        K1 = kernel_of(identity_iso(b), values, values)
+        table = split_table(b)
+        K1 = kernel_of(identity_iso(b), table, table)
         K2 = block_kernel(identity_iso(b), b)
         assert K1.table == K2.table
+        values = split_value_matrix(b)
+        assert K1.table == kernel_of_algnum(identity_iso(b), values, values).table
 
 
 def _failed(kind: str, report) -> set:
@@ -334,13 +345,13 @@ class TestIntegerPathsMatchOracles:
                     isos += [("fault", _flip_sign(isos[0][1])), ("fault", _transpose(isos[-1][1]))]
                 values = split_value_matrix(b)
                 regular = restricted_matrix(b)  # same rows, other classes and denominator
-                assert kernel_of(isos[0][1], values, regular).table == (
+                assert kernel_of(isos[0][1], split_table(b), block_table(b)).table == (
                     kernel_of_algnum(isos[0][1], values, regular).table
                 ), b
                 for kind, iso in isos:
                     K = block_kernel(iso, b)
                     assert K.table == kernel_of_algnum(iso, values, values).table, (b, iso)
-                    perfect = perfect_check(iso, p, b)
+                    perfect = perfect_check(iso, b)
                     assert perfect == perfect_check_algnum(iso, p, b), (b, iso)
                     verdicts.setdefault(kind, set()).add(perfect)
                     broue = broue_check(K, p)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import spinbars
@@ -34,3 +35,22 @@ def test_caches_are_bounded():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [f"{path.name}:{d.lineno}" for d in node.decorator_list if _unbounded_cache(d)]
     assert found == []
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer wraps these functions by name; a deleted or
+    # renamed one breaks the benchmark run, not any other test
+    tracer = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    spans = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets)
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, names in ast.literal_eval(spans).items()
+        for name in names
+        if not hasattr(importlib.import_module(f"spinbars.{module}"), name)
+    ]
+    assert missing == []

@@ -5,6 +5,7 @@ import pytest
 
 from spinbars.algnum import AlgNum, I
 from spinbars.barcomb import BarPartition, bar_partitions, partitions, sigma
+from spinbars.blocks import BlockId
 from spinbars.spinchar import (
     ALT,
     MINUS,
@@ -22,6 +23,7 @@ from spinbars.spinchar import (
     value_vector,
     z_cycle,
 )
+from spinbars.zverify import block_table
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -104,8 +106,8 @@ class TestSplitClasses:
         }
 
     def test_regular_filter(self):
-        cls = split_classes(3, regular_only_for=3)
-        assert {c.pi for c in cls} == {(2, 1), (1, 1, 1)}
+        cls = block_table(BlockId(SYM, 3, BarPartition(()), 1)).classes
+        assert [(c.pi, c.zflag) for c in cls] == [((2, 1), 0), ((1, 1, 1), 0)]
 
     def test_centralizer_of_21(self):
         c = find_class(split_classes(3), (2, 1))

@@ -14,9 +14,11 @@ from spinbars.zverify import (
     integer_expansion,
     p_integrality,
     restricted_matrix,
+    split_table,
     verify_basic_set,
     z_span_equal,
 )
+from spinbars.isometry import split_value_matrix
 from oracles import block_members_by_scan, bounded_combination, dense_integer_expansion
 
 
@@ -291,5 +293,12 @@ class TestOracles:
                         assert ([list(r) for r in table.rows], list(table.columns), table.den) == (rows, columns, den), b
                         assert table.den in (1, 2)
                         assert _values_json(table) == [[v.to_json() for v in row] for row in m.entries], b
+                        if n <= 12:
+                            # every split class, both z-parities: the isometry table
+                            whole = split_table(b)
+                            values = split_value_matrix(b)
+                            rows, columns, den = integer_expansion(values)
+                            assert (whole.row_keys, whole.classes) == (values.row_keys, values.classes), b
+                            assert ([list(r) for r in whole.rows], list(whole.columns), whole.den) == (rows, columns, den), b
                         blocks += 1
         assert blocks == 388
