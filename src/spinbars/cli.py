@@ -10,7 +10,7 @@ from math import gcd
 from . import zverify
 from .barcomb import BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
 from .blocks import BlockId, basic_set, block_partition, brauer_count
-from .isometry import basic_set_transport, block_kernel, broue_check, iso_I, local_side, perfect_check, swap_J
+from .isometry import basic_set_transport, block_kernel, broue_check, iso_I, local_side, swap_J
 from .spinchar import SELF, SYM, SpinLabel
 
 
@@ -178,13 +178,13 @@ def _cmd_isometry(args) -> tuple[list, int]:
         swaps = []
         if b.group == SYM:  # pair swaps are a symmetric-cover construction
             for lam in sorted({x.lam.parts for x in members if x.tag != SELF}, reverse=True):
-                J = swap_J(b, BarPartition(lam))
-                kernel = block_kernel(J, b)
+                # perfectness is the separation condition (ii) of the same report
+                report = broue_check(block_kernel(swap_J(b, BarPartition(lam)), b), b.p)
                 swaps.append(
                     {
                         "pair": list(lam),
-                        "broue": broue_check(kernel, b.p).passed,
-                        "perfect": perfect_check(J, b),
+                        "broue": report.passed,
+                        "perfect": not report.support_failures,
                     }
                 )
         entry["swaps"] = swaps
@@ -193,8 +193,6 @@ def _cmd_isometry(args) -> tuple[list, int]:
 
 
 def _cmd_selftest(args) -> tuple[list, int]:
-    from .algnum import AlgNum, I
-
     checks = []
 
     def check(name, fn):
@@ -207,13 +205,18 @@ def _cmd_selftest(args) -> tuple[list, int]:
     b = BlockId("sym", 3, BarPartition(()), 1)
 
     def micro():
-        m = zverify.restricted_matrix(b)
-        idx = {c.pi: i for i, c in enumerate(m.classes)}
-        rows = {x.lam.parts + (x.tag,): r for x, r in zip(m.row_keys, m.entries)}
+        table = zverify.block_table(b)  # the table verify decides on
+        idx = {c.pi: i for i, c in enumerate(table.classes)}
+        rows = {x.lam.parts + (x.tag,): r for x, r in zip(table.row_keys, table.rows)}
+
+        def value(label, pi):  # {(d, e): den * coefficient of sqrt(d) * i^e}
+            return {unit: a for (j, unit), a in zip(table.columns, rows[label]) if j == idx[pi] and a}
+
+        den = table.den
         return (
-            rows[(3, "self")][idx[(1, 1, 1)]] == AlgNum.from_rational(2)
-            and rows[(2, 1, "plus")][idx[(2, 1)]] == I
-            and rows[(2, 1, "minus")][idx[(2, 1)]] == -I
+            value((3, "self"), (1, 1, 1)) == {(1, 0): 2 * den}
+            and value((2, 1, "plus"), (2, 1)) == {(1, 1): den}
+            and value((2, 1, "minus"), (2, 1)) == {(1, 1): -den}
             and zverify.verify_basic_set(b).verdict
         )
 

@@ -4,12 +4,15 @@ The swap isometry exchanges one plus/minus pair inside a block; the block
 isometry sends each label to the local label of its quotient with the sign
 prescribed by the relative sign and the size of the strict component.
 Kernels are finite tables over split-class representatives; composition
-weights classes by their sizes.  Kernels and the perfectness check are
-computed on the block's integer value table over every split class
-(``zverify.split_table``: integer coefficients over the units
-sqrt(d) * i^e, one shared denominator); AlgNum appears only in the
-returned kernel table.  Broué's integrality condition compares integer
-valuations at p of each entry and of the centralizer orders.
+weights classes by their sizes.  Kernels are computed on the block's
+integer value table over every split class (``zverify.split_table``:
+integer coefficients over the units sqrt(d) * i^e, one shared
+denominator); AlgNum appears only in the returned kernel table.  Broué's
+integrality condition (i) compares integer valuations at p of each entry
+and of the centralizer orders; his separation condition (ii) is the
+kernel's support, and on a block it is equivalent to the isometry
+commuting with restriction to p-regular classes, so ``perfect_check``
+reads perfectness off the same kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .algnum import ZERO, AlgNum, unit_product
@@ -211,13 +213,13 @@ def broue_check(kernel: Kernel, p: int) -> BroueReport:
     regular = [y.is_regular(p) for y in kernel.target_classes]
     bad_i = []
     bad_ii = []
-    for i, x in enumerate(kernel.source_classes):
+    for i, (x, row) in enumerate(zip(kernel.source_classes, kernel.table)):
         x_regular = x.is_regular(p)
-        for j, y in enumerate(kernel.target_classes):
-            least = least_valuation(kernel.table[i][j], p)
-            if least is None:
-                continue  # zero satisfies both conditions
-            if least < max(v_source[i], v_target[j]):
+        for j, v in enumerate(row):
+            if not v:
+                continue  # zero satisfies both conditions; most entries are zero
+            y = kernel.target_classes[j]
+            if least_valuation(v, p) < max(v_source[i], v_target[j]):
                 bad_i.append((x, y))
             if x_regular != regular[j]:
                 bad_ii.append((x, y))
@@ -228,61 +230,14 @@ def perfect_check(iso: IsometrySpec, block: BlockId) -> bool:
     """Whether mapping after restriction equals restriction after mapping.
 
     Only available for self-isometries of a cover block, where both value
-    tables are computable; the isometry acts on arbitrary class functions
-    through orthogonal projection onto the block span, and restriction is
-    to the classes regular at the block's prime.  Everything runs on the
-    block's integer table A (values = A / den): the Gram matrix over the
-    p-regular classes is kept per unit as integers scaled by L * den^2,
-    L the lcm of their centralizer orders, so both sides of the comparison
-    are integers per (class, unit) after scaling by L * den^3.
+    tables are computable; the isometry acts on class functions through
+    orthogonal projection onto the block span, and restriction is to the
+    classes regular at the block's prime.  Restriction keeps the block's
+    class functions in the block, so by Broué (Astérisque 181-182, 1990)
+    the isometry commutes with it exactly when its kernel meets the
+    separation condition (ii): no nonzero entry pairs a p-regular class
+    with a p-singular one.  The answer is therefore read off the support
+    of ``block_kernel``, which raises ``UnsupportedTargetError`` for any
+    other isometry.
     """
-    for _, t, _ in iso.mapping:
-        if not isinstance(t, SpinLabel):
-            raise UnsupportedTargetError("perfectness needs character values on both sides")
-    p = block.p
-    table = split_table(block)
-    classes, labels, columns, den = table.classes, table.row_keys, table.columns, table.den
-    rows = dict(zip(labels, table.rows))
-    images = {s: (t, sign) for s, t, sign in iso.mapping}
-    regular = [classes[j].is_regular(p) for j, _ in columns]
-    scale = lcm(1, *(c.centralizer_order for c in classes if c.is_regular(p)))
-    # Gram terms (a, b, weight) per unit u_k * conj(u_l), for columns a = (i, k), b = (i, l) of one regular class
-    gram_terms: dict[tuple[int, int], list] = {}
-    for a, (i, k) in enumerate(columns):
-        if not regular[a]:
-            continue
-        for b, (j, l) in enumerate(columns):
-            if j == i:
-                c, key = unit_product(k, l)
-                if l[1]:
-                    c = -c
-                gram_terms.setdefault(key, []).append((a, b, c * scale // classes[i].centralizer_order))
-    gram = {}
-    for key, terms in gram_terms.items():
-        left = [[w * rows[chi][a] for a, _, w in terms] for chi in labels]
-        right = [[rows[eta][b] for _, b, _ in terms] for eta in labels]
-        gram[key] = [[sum(map(mul, x, y)) for y in right] for x in left]
-    mapped_rows = []
-    for eta in labels:
-        img, sign = images[eta]
-        mapped_rows.append([sign * a for a in rows[img]])
-    mapped = list(zip(*mapped_rows))
-    # each Gram unit times each column unit
-    carried = {key: [unit_product(key, k) for _, k in columns] for key in gram}
-    for r, chi in enumerate(labels):
-        lhs: dict[tuple[int, tuple[int, int]], int] = {}
-        for key, g in gram.items():
-            coeffs = g[r]
-            for (j, _), (c, unit), col in zip(columns, carried[key], mapped):
-                v = sum(map(mul, coeffs, col))
-                if v:
-                    lhs[j, unit] = lhs.get((j, unit), 0) + c * v
-        img, sign = images[chi]
-        rhs = {
-            (j, k): sign * scale * den * den * a
-            for (j, k), a, reg in zip(columns, rows[img], regular)
-            if reg and a
-        }
-        if {cell: v for cell, v in lhs.items() if v} != rhs:
-            return False
-    return True
+    return not broue_check(block_kernel(iso, block), block.p).support_failures

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -5,6 +6,14 @@ import jsonschema
 import pytest
 
 from spinbars import cli
+
+
+# sha256 of `spinbars isometry --group sym --n 14 --p <p>` stdout, by p
+SYM_N14_ISOMETRY_SHA256 = {
+    3: "706c3c51a8de2f6803eb31290d4537d78553effc9b86263eef3df1d2c3e2bdfb",
+    5: "61c5736222700ba778553621408f7b7e342292ef95900b6e1ef392dcb6ca32f1",
+    7: "7471f41fb95088376674702ba36838f4265f312f569a020c5e3e9a2de8380f72",
+}
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +91,27 @@ class TestVerbs:
         assert entry["isometry"]["side"] == "G"
         assert entry["isometry"]["basic_transport"] is True
         assert entry["swaps"] == [{"pair": [4], "broue": True, "perfect": True}]
+
+    def test_swap_verdicts_read_one_report(self, capsys, monkeypatch):
+        # "broue" is the whole report; "perfect" is its separation condition (ii) alone
+        from spinbars.isometry import BroueReport
+
+        cells = (("x", "y"),)
+        for report, verdicts in (
+            (BroueReport(False, cells, ()), "broue=fail perfect=pass"),
+            (BroueReport(False, (), cells), "broue=fail perfect=fail"),
+        ):
+            monkeypatch.setattr(cli, "broue_check", lambda kernel, p, report=report: report)
+            status, out = run_cli(capsys, "isometry", "--n", "4", "--p", "3", "--format", "table")
+            assert status == 0
+            assert [line.strip() for line in out.splitlines() if "swap" in line] == [f"swap (4): {verdicts}"]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_isometry_sym_n14_digest(self, capsys, p):
+        # pinned stdout past the benchmark's n = 10: swap verdicts of larger blocks
+        status, out = run_cli(capsys, "isometry", "--group", "sym", "--n", "14", "--p", str(p))
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SYM_N14_ISOMETRY_SHA256[p]
 
     def test_isometry_alt_cover(self, capsys):
         status, out = run_cli(capsys, "isometry", "--group", "alt", "--n", "6", "--p", "3")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -329,12 +330,18 @@ def _transpose(iso: IsometrySpec) -> IsometrySpec:
     return IsometrySpec(iso.source, iso.target, ((s0, t1, e1), (s1, t0, e0), *rest))
 
 
+def _random_signed_bijection(members: tuple, rng: random.Random) -> IsometrySpec:
+    targets = rng.sample(members, len(members))
+    return IsometrySpec(members, members, tuple((s, t, rng.choice((1, -1))) for s, t in zip(members, targets)))
+
+
 class TestIntegerPathsMatchOracles:
     @pytest.mark.parametrize("group", [SYM, ALT])
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_kernels_and_perfectness(self, group, p):
         verdicts = {}
         failures = set()
+        rng = random.Random(f"{group}-{p}")
         for n in range(1, 10):
             for b, members in block_partition(group, n, p):
                 isos = [("identity", identity_iso(b))]
@@ -343,6 +350,7 @@ class TestIntegerPathsMatchOracles:
                     isos += [("swap", swap_J(b, BarPartition(lam))) for lam in pairs]
                 if len(members) >= 2:
                     isos += [("fault", _flip_sign(isos[0][1])), ("fault", _transpose(isos[-1][1]))]
+                isos += [("random", _random_signed_bijection(members, rng)) for _ in range(4)]
                 values = split_value_matrix(b)
                 regular = restricted_matrix(b)  # same rows, other classes and denominator
                 assert kernel_of(isos[0][1], split_table(b), block_table(b)).table == (
@@ -356,6 +364,7 @@ class TestIntegerPathsMatchOracles:
                     verdicts.setdefault(kind, set()).add(perfect)
                     broue = broue_check(K, p)
                     assert broue == broue_check_by_coefficients(K, p), (b, iso)
+                    assert perfect == (not broue.support_failures), (b, iso)
                     failures.update(_failed(kind, broue))
                 # dividing a kernel by p breaks condition (i) wherever p does not divide it
                 K = block_kernel(isos[0][1], b)
@@ -365,4 +374,5 @@ class TestIntegerPathsMatchOracles:
                 failures.update(_failed("thin", broue))
         assert verdicts["identity"] == verdicts.get("swap", {True}) == {True}
         assert False in verdicts["fault"]
+        assert verdicts["random"] == {True, False}
         assert ("thin", "i") in failures
