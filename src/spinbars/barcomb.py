@@ -12,14 +12,36 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson-Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Whether p is an odd prime, by deterministic Miller-Rabin; ValueError from MR_BOUND up."""
+    if p >= MR_BOUND:
+        raise ValueError(f"p must be below {MR_BOUND}, where the primality test is exact, got {p}")
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    if any(p % a == 0 for a in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

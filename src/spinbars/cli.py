@@ -150,7 +150,8 @@ def _cmd_counts(args) -> tuple[list, int]:
         entry = _block_json(b)
         entry["basic_set_size"] = len(basic_set(b))
         entry["brauer_count"] = brauer_count(b)
-        entry["rank"] = len(zverify.hnf(zverify.block_table(b).rows))
+        # k on a pass; the verdict runs the full HNF only on a fail
+        entry["rank"] = zverify.verify_basic_set(b).rank_full
         results.append(entry)
     return results, 0
 
@@ -353,7 +354,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "selftest":
-        if not is_odd_prime(args.p):
+        try:
+            prime = is_odd_prime(args.p)
+        except ValueError as exc:
+            parser.error(f"--p: {exc}")
+        if not prime:
             parser.error(f"--p must be an odd prime, got {args.p}")
         if args.command != "cores" and args.n < 1:
             parser.error("--n must be at least 1")

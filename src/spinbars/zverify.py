@@ -128,82 +128,79 @@ def integer_expansion(matrix: ValueMatrix) -> tuple[list[list[int]], list, int]:
     return out, columns, den
 
 
-def hnf(rows: list[list[int]], transform: bool = False):
-    """Row Hermite normal form over Z with fraction-free pivoting.
+def hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form over Z with fraction-free pivoting; the nonzero rows.
 
-    Returns the list of nonzero HNF rows; with ``transform=True`` also the
-    unimodular matrix U with H = U * rows (padded rows of U included) and the
-    rank.
+    The transform comes along by augmenting: the HNF of [C | I] is [H | U]
+    with U unimodular and H = U * C, and its rows whose C part is zero span
+    the integral relations between the rows of C.
     """
     mat = [list(r) for r in rows]
     k = len(mat)
     m = len(mat[0]) if mat else 0
-    U = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     r = 0
     for col in range(m):
         piv = next((i for i in range(r, k) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, k):
             while mat[i][col]:
                 q = mat[r][col] // mat[i][col]
                 mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
-                U[r] = [a - q * b for a, b in zip(U[r], U[i])]
                 mat[r], mat[i] = mat[i], mat[r]
-                U[r], U[i] = U[i], U[r]
         if mat[r][col] < 0:
             mat[r] = [-a for a in mat[r]]
-            U[r] = [-a for a in U[r]]
         for i in range(r):
             q = mat[i][col] // mat[r][col]
             if q:
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                U[i] = [a - q * b for a, b in zip(U[i], U[r])]
         r += 1
         if r == k:
             break
-    H = mat[:r]
-    if transform:
-        return H, U, r
-    return H
+    return mat[:r]
 
 
-def integral_coordinates(target: list[int], H: list[list[int]], U: list[list[int]], rank: int, k: int):
-    """Integer y with y * C = target, via the HNF H = U * C; None if impossible."""
-    residual = list(target)
-    y = [0] * k
-    for i in range(rank):
-        col = next(j for j, a in enumerate(H[i]) if a)
-        if residual[col] % H[i][col]:
+def integral_coordinates(target: list[int], H: list[list[int]], m: int):
+    """Integer y with y * C = target, from the HNF [H | U] of [C | I]; None if impossible.
+
+    C has m columns.  Reducing [target | 0] by the rows that pivot in the C
+    part leaves [0 | -y] exactly when target is in the Z-span of C.
+    """
+    residual = list(target) + [0] * len(H)
+    for row in H:
+        col = next(j for j, a in enumerate(row) if a)
+        if col >= m:
+            break
+        q, rem = divmod(residual[col], row[col])
+        if rem:
             return None
-        q = residual[col] // H[i][col]
         if q:
-            residual = [a - q * b for a, b in zip(residual, H[i])]
-        y[i] = q
-    if any(residual):
+            residual = [a - q * b for a, b in zip(residual, row)]
+    if any(residual[:m]):
         return None
-    return tuple(sum(y[i] * U[i][j] for i in range(k)) for j in range(k))
+    return tuple(-a for a in residual[m:])
 
 
 def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block: BlockId | None) -> VerificationReport:
     """The Z-span decision on integer rows, one per row key."""
     by_key = dict(zip(row_keys, int_rows))
-    cand = [by_key[key] for key in candidate_keys]
-    k = len(cand)
+    k = len(candidate_keys)
     coordinates = {}
     rank = 0
     if k == 0:
         ok = all(not any(row) for row in int_rows)
     else:
-        H, U, rank = hnf(cand, transform=True)
+        cand = [list(by_key[key]) for key in candidate_keys]
+        m = len(cand[0])
+        H = hnf([row + [int(i == j) for j in range(k)] for i, row in enumerate(cand)])
+        rank = sum(1 for row in H if any(row[:m]))
         ok = rank == k
         chosen = set(candidate_keys)
         for key in row_keys:
             if key in chosen:
                 continue
-            coords = integral_coordinates(by_key[key], H, U, rank, k)
+            coords = integral_coordinates(by_key[key], H, m)
             coordinates[key] = coords
             if coords is None:
                 ok = False

@@ -3,8 +3,10 @@
 Everything here recomputes results from definitions: direct bar removal
 instead of the two-runner abacus, diagram border strips instead of beta-set
 moves, exhaustive searches instead of normal forms.  The slow paths that
-the library replaced stay here as references: a scan over every label for
-block members, an integer expansion with every class x key column, the
+the library replaced stay here as references: trial division for
+primality, a scan over every label for block members, an integer
+expansion with every class x key column, the Z-span decision with a
+separate unimodular transform and a k x k coordinate product, the
 isometry kernel and perfectness check in AlgNum arithmetic, and the Broué
 check coefficient by coefficient in Fraction arithmetic.
 """
@@ -33,6 +35,18 @@ def strict_partitions_by_filter(n: int) -> set[tuple[int, ...]]:
                 yield (first,) + tail
 
     return {t for t in gen(n, n) if len(set(t)) == len(t)}
+
+
+def is_odd_prime_by_trial_division(p: int) -> bool:
+    """Odd primality by trial division up to sqrt(p)."""
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def direct_bar_moves(parts: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
@@ -199,6 +213,80 @@ def dense_integer_expansion(matrix) -> tuple[list[list[int]], list, int]:
         out.append(flat)
     columns = [(j, k) for j in range(len(matrix.classes)) for k in keys]
     return out, columns, den
+
+
+def _hnf_with_transform(rows: list[list[int]]):
+    """Row HNF H of the rows, a unimodular U with H = U * rows (zero rows padded), and the rank."""
+    mat = [list(r) for r in rows]
+    k = len(mat)
+    m = len(mat[0]) if mat else 0
+    U = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    r = 0
+    for col in range(m):
+        piv = next((i for i in range(r, k) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        U[r], U[piv] = U[piv], U[r]
+        for i in range(r + 1, k):
+            while mat[i][col]:
+                q = mat[r][col] // mat[i][col]
+                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
+                U[r] = [a - q * b for a, b in zip(U[r], U[i])]
+                mat[r], mat[i] = mat[i], mat[r]
+                U[r], U[i] = U[i], U[r]
+        if mat[r][col] < 0:
+            mat[r] = [-a for a in mat[r]]
+            U[r] = [-a for a in U[r]]
+        for i in range(r):
+            q = mat[i][col] // mat[r][col]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+        r += 1
+        if r == k:
+            break
+    return mat[:r], U, r
+
+
+def _coordinates_by_transform(target, H, U, rank: int, k: int):
+    """Integer y with y * C = target: reduce by H, then map back through U."""
+    residual = list(target)
+    y = [0] * k
+    for i in range(rank):
+        col = next(j for j, a in enumerate(H[i]) if a)
+        if residual[col] % H[i][col]:
+            return None
+        q = residual[col] // H[i][col]
+        if q:
+            residual = [a - q * b for a, b in zip(residual, H[i])]
+        y[i] = q
+    if any(residual):
+        return None
+    return tuple(sum(y[i] * U[i][j] for i in range(k)) for j in range(k))
+
+
+def z_span_by_transform(candidate_keys, row_keys, int_rows) -> tuple[bool, dict, int, int]:
+    """(verdict, coordinates, rank_full, rank_candidate) of the Z-span decision.
+
+    The HNF of the candidate rows keeps its unimodular transform U beside
+    it, and each coordinate vector is a product y * U; rank_full is a full
+    HNF of every row.
+    """
+    by_key = dict(zip(row_keys, int_rows))
+    cand = [by_key[key] for key in candidate_keys]
+    k = len(cand)
+    coordinates = {}
+    rank = 0
+    if k == 0:
+        ok = all(not any(row) for row in int_rows)
+    else:
+        H, U, rank = _hnf_with_transform(cand)
+        for key in row_keys:
+            if key not in candidate_keys:
+                coordinates[key] = _coordinates_by_transform(by_key[key], H, U, rank, k)
+        ok = rank == k and None not in coordinates.values()
+    return ok, coordinates, len(_hnf_with_transform(int_rows)[0]), rank
 
 
 def kernel_of_algnum(iso, source_values, target_values) -> Kernel:

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbars.barcomb import (
+    MR_BOUND,
     BarPartition,
     BarQuotient,
     Partition,
@@ -15,6 +18,7 @@ from spinbars.barcomb import (
     doubling,
     from_core_quotient,
     is_bar_core,
+    is_odd_prime,
     partition_core_quotient,
     partitions,
     sigma,
@@ -23,6 +27,7 @@ from oracles import (
     cores_by_removal,
     core_by_rim_hooks,
     delta_values_all_orders,
+    is_odd_prime_by_trial_division,
     rebuild_from_ordinary_quotient,
     strict_partitions_by_filter,
 )
@@ -30,6 +35,30 @@ from oracles import (
 strict_parts = st.sets(st.integers(1, 24), min_size=0, max_size=6).map(
     lambda s: BarPartition(tuple(sorted(s, reverse=True)))
 )
+
+
+class TestIsOddPrime:
+    def test_matches_trial_division(self):
+        assert all(is_odd_prime(p) == is_odd_prime_by_trial_division(p) for p in range(-3, 10**5))
+
+    def test_rejects_pseudoprimes(self):
+        # a strong pseudoprime to the bases 2, 3, 5 and 7, then Carmichael numbers
+        for c in (3215031751, 561, 1105, 1729, 2465, 2821, 6601, 41041, 825265):
+            assert not is_odd_prime(c), c
+
+    def test_large_inputs_are_fast(self):
+        start = time.perf_counter()
+        assert is_odd_prime(100000000000031)
+        assert is_odd_prime(2**61 - 1)
+        assert not is_odd_prime(2**67 - 1)  # 193707721 * 761838257287
+        assert not is_odd_prime((10**9 + 7) * (10**9 + 9))
+        assert time.perf_counter() - start < 0.5
+
+    def test_refuses_at_the_bound(self):
+        # the bound itself is a strong pseudoprime to the first 13 prime bases
+        for p in (MR_BOUND, MR_BOUND + 2, 10**25 - 1):
+            with pytest.raises(ValueError, match=str(MR_BOUND)):
+                is_odd_prime(p)
 
 
 class TestEnumeration:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -142,6 +143,18 @@ class TestContract:
             with pytest.raises(SystemExit) as exc:
                 cli.run(["blocks", "--n", "4", "--p", p])
             assert exc.value.code == 2
+
+    def test_large_p_exits_2_fast(self, capsys):
+        # (10^9 + 7)(10^9 + 9): trial division would take 5 * 10^8 steps
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["cores", "--n", "3", "--p", str((10**9 + 7) * (10**9 + 9))])
+        assert exc.value.code == 2 and time.perf_counter() - start < 1
+        # 25 digits, above the bound where the primality test is exact
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["cores", "--n", "3", "--p", "9" * 25])
+        assert exc.value.code == 2
+        assert "3317044064679887385961981" in capsys.readouterr().err
 
     def test_bad_core_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from spinbars.zverify import (
     verify_basic_set,
     z_span_equal,
 )
+from spinbars import zverify
 from spinbars.isometry import split_value_matrix
-from oracles import block_members_by_scan, bounded_combination, dense_integer_expansion
+from oracles import block_members_by_scan, bounded_combination, dense_integer_expansion, z_span_by_transform
 
 
 def num(x):
@@ -68,53 +70,62 @@ class TestHnf:
         assert hnf([[0, 0], [0, 0]]) == []
 
 
+def make_matrix(rows):
+    keys = tuple(f"r{i}" for i in range(len(rows)))
+    ncols = len(rows[0])
+    return ValueMatrix(keys, tuple(f"c{j}" for j in range(ncols)), tuple(tuple(rows[i]) for i in range(len(rows))))
+
+
+def random_span_cases():
+    """300 small (candidate rows, target row) pairs; half the targets lie in the span."""
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randrange(1, 4)
+        ncols = rng.randrange(1, 5)
+        cand = [[rng.randrange(-3, 4) for _ in range(ncols)] for _ in range(k)]
+        coeffs = [rng.randrange(-3, 4) for _ in range(k)]
+        if rng.random() < 0.5:
+            target = [sum(c * row[j] for c, row in zip(coeffs, cand)) for j in range(ncols)]
+        else:
+            target = [rng.randrange(-6, 7) for _ in range(ncols)]
+        yield cand, target
+
+
 class TestZSpanEqual:
-    def make_matrix(self, rows):
-        keys = tuple(f"r{i}" for i in range(len(rows)))
-        ncols = len(rows[0])
-        return ValueMatrix(keys, tuple(f"c{j}" for j in range(ncols)), tuple(tuple(rows[i]) for i in range(len(rows))))
 
     def test_identity(self):
-        m = self.make_matrix([[num(1), I], [num(1), -I]])
+        m = make_matrix([[num(1), I], [num(1), -I]])
         rep = z_span_equal(("r0", "r1"), m)
         assert rep.verdict and rep.coordinates == {}
 
     def test_sum_relation(self):
-        m = self.make_matrix([[num(1), I], [num(1), -I], [num(2), num(0)]])
+        m = make_matrix([[num(1), I], [num(1), -I], [num(2), num(0)]])
         rep = z_span_equal(("r0", "r1"), m)
         assert rep.verdict
         assert rep.coordinates == {"r2": (1, 1)}
 
     def test_non_integral_fails(self):
-        m = self.make_matrix([[num(2), num(0)], [num(1), I]])
+        m = make_matrix([[num(2), num(0)], [num(1), I]])
         rep = z_span_equal(("r0",), m)
         assert not rep.verdict
         assert rep.coordinates == {"r1": None}
 
     def test_dependent_candidates_fail(self):
-        m = self.make_matrix([[num(1), num(1)], [num(2), num(2)], [num(3), num(3)]])
+        m = make_matrix([[num(1), num(1)], [num(2), num(2)], [num(3), num(3)]])
         rep = z_span_equal(("r0", "r1"), m)
         assert not rep.verdict
         assert rep.rank_candidate == 1
 
     def test_missing_candidate_row(self):
-        m = self.make_matrix([[num(1), num(1)]])
+        m = make_matrix([[num(1), num(1)]])
         with pytest.raises(ValueError):
             z_span_equal(("nope",), m)
 
     def test_against_bounded_search(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            k = rng.randrange(1, 4)
-            ncols = rng.randrange(1, 5)
-            cand = [[rng.randrange(-3, 4) for _ in range(ncols)] for _ in range(k)]
-            coeffs = [rng.randrange(-3, 4) for _ in range(k)]
-            if rng.random() < 0.5:
-                target = [sum(c * row[j] for c, row in zip(coeffs, cand)) for j in range(ncols)]
-            else:
-                target = [rng.randrange(-6, 7) for _ in range(ncols)]
+        for cand, target in random_span_cases():
+            k, ncols = len(cand), len(target)
             rows = cand + [target]
-            m = self.make_matrix([[num(v) for v in row] for row in rows])
+            m = make_matrix([[num(v) for v in row] for row in rows])
             rep = z_span_equal(tuple(f"r{i}" for i in range(k)), m)
             got = rep.coordinates[f"r{k}"]
             if got is not None:
@@ -302,3 +313,109 @@ class TestOracles:
                             assert ([list(r) for r in whole.rows], list(whole.columns), whole.den) == (rows, columns, den), b
                         blocks += 1
         assert blocks == 388
+
+
+class TestTransformOracle:
+    def test_blocks_and_random_rows_match_the_transform_oracle(self):
+        blocks = 0
+        for group in (SYM, ALT):
+            for p in (3, 5, 7):
+                for n in range(1, 17):
+                    for b, _ in block_partition(group, n, p):
+                        table = block_table(b)
+                        rep = verify_basic_set(b)
+                        assert (rep.verdict, rep.coordinates, rep.rank_full, rep.rank_candidate) == z_span_by_transform(
+                            basic_set(b), table.row_keys, table.rows
+                        ), b
+                        blocks += 1
+        assert blocks == 284
+        independent = 0
+        for cand, target in random_span_cases():
+            k = len(cand)
+            m = make_matrix([[num(v) for v in row] for row in cand + [target]])
+            keys = m.row_keys[:k]
+            rep = z_span_equal(keys, m)
+            int_rows, _, _ = integer_expansion(m)
+            verdict, coordinates, rank_full, rank = z_span_by_transform(keys, m.row_keys, int_rows)
+            assert (rep.verdict, rep.rank_full, rep.rank_candidate) == (verdict, rank_full, rank)
+            if rank == k:
+                # coordinates are unique once the candidates are independent
+                assert rep.coordinates == coordinates
+                independent += 1
+            else:
+                # both solve y * C = target, not necessarily with the same y
+                assert (rep.coordinates[f"r{k}"] is None) == (coordinates[f"r{k}"] is None)
+        assert independent == 226
+
+
+def perturbed(table, key, j, delta):
+    """A copy of the table with delta added to column j of the row of key."""
+    rows = [list(r) for r in table.rows]
+    rows[table.row_keys.index(key)][j] += delta
+    return table._replace(rows=tuple(tuple(r) for r in rows))
+
+
+def small_blocks(min_weight):
+    for group in (SYM, ALT):
+        for p in (3, 5):
+            for n in range(1, 11):
+                for b, _ in block_partition(group, n, p):
+                    if b.weight >= min_weight:
+                        yield b
+
+
+class TestFaultInjection:
+    def test_basic_set_entry_plus_p_fails(self, monkeypatch):
+        # weight 2 and up: at weight 1 a perturbed basis can still span, e.g.
+        # sym p=3 core (1): (2, 2), (1, 2) span (0, 4) as (-1, 2), (1, 2) did
+        checked = 0
+        for b in small_blocks(2):
+            table = block_table(b)
+            for j in range(len(table.columns)):
+                faulted = perturbed(table, basic_set(b)[0], j, b.p)
+                with monkeypatch.context() as patch:
+                    patch.setattr(zverify, "block_table", lambda _: faulted)
+                    assert not verify_basic_set(b).verdict, (b, j)
+                checked += 1
+        assert checked == 68
+
+    def test_duplicated_candidate_fails(self, monkeypatch):
+        solved = 0
+        for b in small_blocks(1):
+            cand = basic_set(b)
+            k = len(cand)
+            if k < 2:
+                continue
+            table = block_table(b)
+            rows = list(table.rows)
+            rows[table.row_keys.index(cand[1])] = rows[table.row_keys.index(cand[0])]
+            faulted = table._replace(rows=tuple(rows))
+            with monkeypatch.context() as patch:
+                patch.setattr(zverify, "block_table", lambda _: faulted)
+                rep = verify_basic_set(b)
+            assert not rep.verdict and rep.rank_candidate == k - 1, b
+            assert rep.rank_full == len(hnf(rows)), b
+            C = [rows[table.row_keys.index(x)] for x in cand]
+            for key, coords in rep.coordinates.items():
+                if coords is not None:
+                    target = rows[table.row_keys.index(key)]
+                    assert all(sum(c * row[j] for c, row in zip(coords, C)) == t for j, t in enumerate(target)), b
+                    solved += 1
+        assert solved > 0
+
+    def test_counts_prints_the_full_rank_of_a_fail(self, capsys, monkeypatch):
+        from spinbars import cli
+
+        real_table = zverify.block_table
+
+        def faulty_table(b):
+            table = real_table(b)
+            return perturbed(table, basic_set(b)[0], 0, b.p)
+
+        monkeypatch.setattr(zverify, "block_table", faulty_table)
+        assert cli.run(["counts", "--n", "10", "--p", "3"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        blocks = [b for b, _ in block_partition(SYM, 10, 3)]
+        assert [r["rank"] for r in results] == [len(hnf(faulty_table(b).rows)) for b in blocks]
+        assert any(not verify_basic_set(b).verdict for b in blocks)
+        assert any(r["rank"] != r["basic_set_size"] for r in results)
