@@ -9,13 +9,17 @@ p-core/p-quotient needed by the doubling test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson-Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+# A BarQuotient holds all (p - 1)/2 components; the CLI refuses larger p,
+# which keeps a quotient at 2^20 components (8 MiB of references) or fewer.
+P_BOUND = 2**21
 
 
 def is_odd_prime(p: int) -> bool:
@@ -110,9 +114,10 @@ class BarQuotient:
     components: tuple[Partition, ...]
     p: int
 
-    @property
+    @cached_property
     def weight(self) -> int:
-        return self.lambda0.n + sum(c.n for c in self.components)
+        """Read once per quotient: a large p gives (p - 1)/2 components, nearly all empty."""
+        return self.lambda0.n + sum(c.n for c in self.components if c.parts)
 
     def sigma(self) -> int:
         """(-1)**(weight - length of the strict component)."""
@@ -120,6 +125,9 @@ class BarQuotient:
 
     def is_empty(self) -> bool:
         return self.weight == 0
+
+
+_EMPTY = Partition(())
 
 
 def bar_partitions(n: int) -> list[BarPartition]:
@@ -205,17 +213,23 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
     (p-i) + k*p puts a hole marker at position k (the "B" runner); the Maya
     bijection above turns the pair into the ordinary component, and the net
     charge leaves the packed residue-class parts that belong to the core.
+    Only the pairs that lam's parts occupy are visited: every other pair
+    carries the empty partition with charge 0, so the work does not grow
+    with p.
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     lambda0 = BarPartition(tuple(sorted((a // p for a in lam.parts if a % p == 0), reverse=True)))
-    components = []
+    runners: dict[int, tuple[set, set]] = {}  # i -> (A positions, B positions)
+    for a in lam.parts:
+        r = a % p
+        if r:
+            i = min(r, p - r)
+            runners.setdefault(i, (set(), set()))[r != i].add(a // p)
+    components = [_EMPTY] * ((p - 1) // 2)
     core_parts = []
-    for i in range(1, (p - 1) // 2 + 1):
-        aset = frozenset((a - i) // p for a in lam.parts if a % p == i)
-        bset = frozenset((a - (p - i)) // p for a in lam.parts if a % p == p - i)
-        charge, comp = _pair_to_partition(aset, bset)
-        components.append(comp)
+    for i, (aset, bset) in runners.items():
+        charge, components[i - 1] = _pair_to_partition(frozenset(aset), frozenset(bset))
         if charge > 0:
             core_parts.extend(i + k * p for k in range(charge))
         elif charge < 0:

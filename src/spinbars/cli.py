@@ -8,10 +8,10 @@ import sys
 from math import gcd
 
 from . import zverify
-from .barcomb import BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
+from .barcomb import P_BOUND, BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
 from .blocks import BlockId, basic_set, block_partition, brauer_count
-from .isometry import basic_set_transport, block_kernel, broue_check, iso_I, local_side, swap_J
-from .spinchar import SELF, SYM, SpinLabel
+from .isometry import basic_set_transport, iso_I, local_side, swap_reports
+from .spinchar import SpinLabel
 
 
 def _label_json(x: SpinLabel) -> dict:
@@ -158,7 +158,7 @@ def _cmd_counts(args) -> tuple[list, int]:
 
 def _cmd_isometry(args) -> tuple[list, int]:
     results = []
-    for b, members in _select_blocks(args):
+    for b, _ in _select_blocks(args):
         entry = _block_json(b)
         if b.weight == 0:
             entry["isometry"] = None
@@ -176,19 +176,11 @@ def _cmd_isometry(args) -> tuple[list, int]:
                     for s, t, sign in iso.mapping
                 ],
             }
-        swaps = []
-        if b.group == SYM:  # pair swaps are a symmetric-cover construction
-            for lam in sorted({x.lam.parts for x in members if x.tag != SELF}, reverse=True):
-                # perfectness is the separation condition (ii) of the same report
-                report = broue_check(block_kernel(swap_J(b, BarPartition(lam)), b), b.p)
-                swaps.append(
-                    {
-                        "pair": list(lam),
-                        "broue": report.passed,
-                        "perfect": not report.support_failures,
-                    }
-                )
-        entry["swaps"] = swaps
+        # perfectness is the separation condition (ii) of each swap's report
+        entry["swaps"] = [
+            {"pair": list(lam), "broue": report.passed, "perfect": not report.support_failures}
+            for lam, report in swap_reports(b).items()
+        ]
         results.append(entry)
     return results, 0
 
@@ -360,6 +352,8 @@ def run(argv=None) -> int:
             parser.error(f"--p: {exc}")
         if not prime:
             parser.error(f"--p must be an odd prime, got {args.p}")
+        if args.p > P_BOUND:
+            parser.error(f"--p must be at most {P_BOUND}: each p-bar quotient holds (p - 1)/2 components")
         if args.command != "cores" and args.n < 1:
             parser.error("--n must be at least 1")
         if args.n < 0:

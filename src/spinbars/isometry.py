@@ -3,16 +3,22 @@
 The swap isometry exchanges one plus/minus pair inside a block; the block
 isometry sends each label to the local label of its quotient with the sign
 prescribed by the relative sign and the size of the strict component.
-Kernels are finite tables over split-class representatives; composition
-weights classes by their sizes.  Kernels are computed on the block's
-integer value table over every split class (``zverify.split_table``:
+Kernels are two-variable class functions over split-class representatives;
+composition weights classes by their sizes.  Kernels are computed on the
+block's integer value table over every split class (``zverify.split_table``:
 integer coefficients over the units sqrt(d) * i^e, one shared
-denominator); AlgNum appears only in the returned kernel table.  Broué's
-integrality condition (i) compares integer valuations at p of each entry
-and of the centralizer orders; his separation condition (ii) is the
-kernel's support, and on a block it is equivalent to the isometry
-commuting with restriction to p-regular classes, so ``perfect_check``
-reads perfectness off the same kernel.
+denominator), and a ``Kernel`` keeps them that way: integer cell sums over
+one denominator, nonzero cells only.  AlgNum appears only in
+``Kernel.value``, ``Kernel.table``, ``Kernel.from_table`` and
+``compose_kernel``, for API callers and the oracles.  Broué's integrality
+condition (i) compares integer valuations at p of each stored cell and of
+the centralizer orders; his separation condition (ii) is the kernel's
+support, and on a block it is equivalent to the isometry commuting with
+restriction to p-regular classes, so ``perfect_check`` reads perfectness
+off the same kernel.  A block's pair swaps share one identity kernel:
+J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-, and delta
+lives on the two classes of type lam, so ``swap_reports`` checks the
+identity kernel once and each swap as a 2 x 2 patch of it.
 """
 
 from __future__ import annotations
@@ -20,13 +26,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from .algnum import ZERO, AlgNum, unit_product
-from .barcomb import bar_core_quotient, delta_bar, sigma
+from .barcomb import BarPartition, bar_core_quotient, delta_bar, sigma
 from .blocks import SIDE_G, SIDE_H, BlockId, LocalLabel, basic_set, block_members, local_basic_labels
-from .spinchar import MINUS, PLUS, SYM, SpinLabel, SplitClass, char_value, split_classes
-from .zverify import IntegerTable, ValueMatrix, int_valuation, least_valuation, split_table
+from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, split_classes
+from .zverify import IntegerTable, ValueMatrix, int_valuation, split_table
 
 
 class UnsupportedTargetError(ValueError):
@@ -122,14 +129,45 @@ def basic_set_transport(block: BlockId) -> bool:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Two-variable class function attached to an isometry, stored as a table."""
+    """Two-variable class function attached to an isometry, over source x target classes.
+
+    ``cells`` maps (source index, target index) to the entry's integer
+    coefficients {(d, e): c} over the units sqrt(d) * i^e, all over the one
+    denominator ``den``.  Only nonzero cells are stored, and only their
+    nonzero coefficients.
+    """
 
     source_classes: tuple
     target_classes: tuple
-    table: tuple  # table[i][j] over source x target classes
+    cells: dict
+    den: int
+
+    @classmethod
+    def from_table(cls, source_classes, target_classes, table) -> Kernel:
+        """The kernel of a dense table of AlgNum entries, over their common denominator."""
+        den = lcm(1, *(c.denominator for row in table for v in row for _, c in v.terms))
+        cells = {
+            (i, j): {key: int(c * den) for key, c in v.terms}
+            for i, row in enumerate(table)
+            for j, v in enumerate(row)
+            if v
+        }
+        return cls(tuple(source_classes), tuple(target_classes), cells, den)
+
+    def _entry(self, cell: dict) -> AlgNum:
+        return AlgNum({key: Fraction(c, self.den) for key, c in cell.items()})
 
     def value(self, x: SplitClass, y: SplitClass) -> AlgNum:
-        return self.table[self.source_classes.index(x)][self.target_classes.index(y)]
+        cell = self.cells.get((self.source_classes.index(x), self.target_classes.index(y)))
+        return self._entry(cell) if cell else ZERO
+
+    @property
+    def table(self) -> tuple:
+        """The dense table of AlgNum entries, table[i][j] over source x target classes."""
+        table = [[ZERO] * len(self.target_classes) for _ in self.source_classes]
+        for (i, j), cell in self.cells.items():
+            table[i][j] = self._entry(cell)
+        return tuple(map(tuple, table))
 
 
 def split_value_matrix(block: BlockId) -> ValueMatrix:
@@ -139,32 +177,39 @@ def split_value_matrix(block: BlockId) -> ValueMatrix:
     return ValueMatrix(rows, cols, tuple(tuple(char_value(x, c) for c in cols) for x in rows))
 
 
+def _add_term(cells: dict, i: int, j: int, k: tuple, l: tuple, total: int) -> None:
+    """Add total * conj(u_k) * u_l to cell (i, j)."""
+    c, key = unit_product(k, l)
+    if k[1]:  # conj(u_k) = -u_k when u_k carries i
+        c = -c
+    cell = cells.setdefault((i, j), {})
+    cell[key] = cell.get(key, 0) + c * total
+
+
+def _nonzero(cell: dict) -> dict:
+    """The cell without its cancelled coefficients."""
+    return {key: c for key, c in cell.items() if c}
+
+
 def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> Kernel:
-    """Kernel table: sum over source labels of sign * conj(value) x image value.
+    """Kernel: sum over source labels of sign * conj(value) x image value.
 
     Computed on the integer tables: each pair of integer columns gives an
     integer sum over the mapping, which the unit product conj(u_k) * u_l
-    carries into the entry of the two columns' classes.
+    carries into the cell of the two columns' classes.
     """
     s_rows = dict(zip(source.row_keys, source.rows))
     t_rows = dict(zip(target.row_keys, target.rows))
     left = list(zip(*[[sign * a for a in s_rows[s]] for s, _, sign in iso.mapping]))
     right = list(zip(*[t_rows[t] for _, t, _ in iso.mapping]))
-    sums: dict[tuple[int, int], dict] = {}
+    cells: dict[tuple[int, int], dict] = {}
     for (i, k), col_s in zip(source.columns, left):
         for (j, l), col_t in zip(target.columns, right):
             total = sum(map(mul, col_s, col_t))
             if total:
-                c, key = unit_product(k, l)
-                if k[1]:  # conj(u_k) = -u_k when u_k carries i
-                    c = -c
-                cell = sums.setdefault((i, j), {})
-                cell[key] = cell.get(key, 0) + c * total
-    den = source.den * target.den
-    table = [[ZERO] * len(target.classes) for _ in source.classes]
-    for (i, j), cell in sums.items():
-        table[i][j] = AlgNum({key: Fraction(c, den) for key, c in cell.items()})
-    return Kernel(source.classes, target.classes, tuple(map(tuple, table)))
+                _add_term(cells, i, j, k, l, total)
+    cells = {ij: kept for ij, cell in cells.items() if (kept := _nonzero(cell))}
+    return Kernel(source.classes, target.classes, cells, source.den * target.den)
 
 
 def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:
@@ -180,16 +225,17 @@ def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
     """Kernel of the composition, averaging over the middle group's classes."""
     if a.target_classes != b.source_classes:
         raise ValueError("middle class lists do not match")
+    a_table, b_table = a.table, b.table
     table = []
     for i in range(len(a.source_classes)):
         row = []
         for k in range(len(b.target_classes)):
             total = AlgNum()
             for j, y in enumerate(a.target_classes):
-                total = total + a.table[i][j] * b.table[j][k] * Fraction(1, y.centralizer_order)
+                total = total + a_table[i][j] * b_table[j][k] * Fraction(1, y.centralizer_order)
             row.append(total)
         table.append(tuple(row))
-    return Kernel(a.source_classes, b.target_classes, tuple(table))
+    return Kernel.from_table(a.source_classes, b.target_classes, table)
 
 
 @dataclass(frozen=True)
@@ -201,29 +247,91 @@ class BroueReport:
     support_failures: tuple  # (x, y) class pairs failing condition (ii)
 
 
-def broue_check(kernel: Kernel, p: int) -> BroueReport:
-    """Centralizer-divisibility and regular/singular support conditions.
+def _failures(kernel: Kernel, cells: dict, p: int) -> tuple[list, list]:
+    """The (i, j) of the given nonzero cells failing condition (i), and (ii), in row-major order.
 
-    Condition (i) asks that each entry divided by either class's centralizer
-    order be integral at p: the least valuation of the entry's coefficients
-    must reach the valuation of both orders.
+    Condition (i) asks that the entry divided by either class's centralizer
+    order be integral at p: the least valuation of its coefficients,
+    int_valuation(gcd of the integer coefficients) - int_valuation(den),
+    must reach the valuation of both orders.  Condition (ii) asks that no
+    nonzero entry pair a p-regular class with a p-singular one.  A zero
+    entry meets both, so only the stored cells are visited.
     """
-    v_source = [int_valuation(x.centralizer_order, p) for x in kernel.source_classes]
-    v_target = [int_valuation(y.centralizer_order, p) for y in kernel.target_classes]
-    regular = [y.is_regular(p) for y in kernel.target_classes]
-    bad_i = []
-    bad_ii = []
-    for i, (x, row) in enumerate(zip(kernel.source_classes, kernel.table)):
-        x_regular = x.is_regular(p)
-        for j, v in enumerate(row):
-            if not v:
-                continue  # zero satisfies both conditions; most entries are zero
-            y = kernel.target_classes[j]
-            if least_valuation(v, p) < max(v_source[i], v_target[j]):
-                bad_i.append((x, y))
-            if x_regular != regular[j]:
-                bad_ii.append((x, y))
-    return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))
+    v_den = int_valuation(kernel.den, p)
+    bad_i, bad_ii = [], []
+    for i, j in sorted(cells):
+        x, y = kernel.source_classes[i], kernel.target_classes[j]
+        need = max(int_valuation(x.centralizer_order, p), int_valuation(y.centralizer_order, p))
+        if int_valuation(gcd(*cells[i, j].values()), p) - v_den < need:
+            bad_i.append((i, j))
+        if x.is_regular(p) != y.is_regular(p):
+            bad_ii.append((i, j))
+    return bad_i, bad_ii
+
+
+def _report(kernel: Kernel, bad_i, bad_ii) -> BroueReport:
+    def pairs(cells):
+        return tuple((kernel.source_classes[i], kernel.target_classes[j]) for i, j in cells)
+
+    return BroueReport(not bad_i and not bad_ii, pairs(bad_i), pairs(bad_ii))
+
+
+def broue_check(kernel: Kernel, p: int) -> BroueReport:
+    """Centralizer-divisibility (i) and regular/singular support (ii) conditions."""
+    return _report(kernel, *_failures(kernel, kernel.cells, p))
+
+
+def swap_patch(identity: Kernel, block: BlockId, lam: BarPartition) -> dict:
+    """The cells of the kernel of swap_J(block, lam) that differ from the identity kernel's.
+
+    J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-, so its kernel
+    is the identity kernel minus conj(delta) x delta.  delta is nonzero only
+    on the classes of type lam, so the patch covers those rows and columns.
+    Returns {(i, j): new cell} for every cell in delta's support, an empty
+    cell where the new entry is zero.  The patch is added to the integer
+    cells as they stand, those of block_kernel(identity_iso(block), block)
+    over split_table's den ** 2; over m times that denominator (the
+    identity kernel divided by m) they give the swap kernel divided by m.
+    """
+    table = split_table(block)
+    rows = dict(zip(table.row_keys, table.rows))
+    pair = SpinLabel(block.group, lam, PLUS), SpinLabel(block.group, lam, MINUS)
+    if sigma(lam) != -1 or not all(x in rows for x in pair):
+        raise ValueError(f"{lam} does not label a plus/minus pair of {block}")
+    plus, minus = (rows[x] for x in pair)
+    delta = [(col, a - b) for col, a, b in zip(table.columns, plus, minus) if a != b]
+    support = sorted({i for (i, _), _ in delta})
+    patch = {(i, j): dict(identity.cells.get((i, j), {})) for i in support for j in support}
+    for (i, k), a in delta:
+        for (j, l), b in delta:
+            _add_term(patch, i, j, k, l, -a * b)
+    return {ij: _nonzero(cell) for ij, cell in patch.items()}
+
+
+def swap_reports(block: BlockId, identity: Kernel | None = None) -> dict:
+    """The Broué report of every pair swap's kernel, keyed by the pair's parts in descending order.
+
+    The identity kernel is built and checked once; each swap's kernel is
+    that kernel with ``swap_patch`` applied, and only the patched cells are
+    checked again, by the rule of ``broue_check``.  ``identity`` replaces
+    block_kernel(identity_iso(block), block), for checks on a damaged one.
+    """
+    if block.group != SYM:
+        return {}  # pair swaps are a symmetric-cover construction
+    pairs = sorted({x.lam.parts for x in block_members(block) if x.tag != SELF}, reverse=True)
+    if not pairs:
+        return {}
+    if identity is None:
+        identity = block_kernel(identity_iso(block), block)
+    base_i, base_ii = _failures(identity, identity.cells, block.p)
+    reports = {}
+    for lam in pairs:
+        patch = swap_patch(identity, block, BarPartition(lam))
+        new_i, new_ii = _failures(identity, {ij: cell for ij, cell in patch.items() if cell}, block.p)
+        bad_i = sorted({ij for ij in base_i if ij not in patch}.union(new_i))
+        bad_ii = sorted({ij for ij in base_ii if ij not in patch}.union(new_ii))
+        reports[lam] = _report(identity, bad_i, bad_ii)
+    return reports
 
 
 def perfect_check(iso: IsometrySpec, block: BlockId) -> bool:

@@ -304,7 +304,7 @@ def kernel_of_algnum(iso, source_values, target_values) -> Kernel:
                 total = total + vs[i] * vt[j]
             row.append(total)
         table.append(tuple(row))
-    return Kernel(source_values.classes, target_values.classes, tuple(table))
+    return Kernel.from_table(source_values.classes, target_values.classes, table)
 
 
 def perfect_check_algnum(iso, p: int, block) -> bool:
@@ -350,9 +350,10 @@ def broue_check_by_coefficients(kernel, p: int) -> BroueReport:
     """Broué's two conditions, dividing every coefficient of every entry by each class's order."""
     bad_i = []
     bad_ii = []
+    table = kernel.table  # built on each read
     for i, x in enumerate(kernel.source_classes):
         for j, y in enumerate(kernel.target_classes):
-            v = kernel.table[i][j]
+            v = table[i][j]
             if not all(
                 _valuation(c / z.centralizer_order, p) >= 0
                 for c in v.coefficients().values()

@@ -16,6 +16,12 @@ SYM_N14_ISOMETRY_SHA256 = {
     7: "7471f41fb95088376674702ba36838f4265f312f569a020c5e3e9a2de8380f72",
 }
 
+# the same at p = 3 for larger n, where each block has many swaps to patch
+SYM_P3_ISOMETRY_SHA256 = {
+    16: "e90fd4b8a87d73390e9f81bacbc14ebe0378ec81c4f8c2b21e462376c819aaa4",
+    18: "0c3f3cb2ec470e4de402fe3a5fc2d51cd0ba81c671ba460c17e7e02548ce2a4e",
+}
+
 
 def run_cli(capsys, *argv):
     status = cli.run(list(argv))
@@ -102,7 +108,7 @@ class TestVerbs:
             (BroueReport(False, cells, ()), "broue=fail perfect=pass"),
             (BroueReport(False, (), cells), "broue=fail perfect=fail"),
         ):
-            monkeypatch.setattr(cli, "broue_check", lambda kernel, p, report=report: report)
+            monkeypatch.setattr(cli, "swap_reports", lambda block, report=report: {(4,): report})
             status, out = run_cli(capsys, "isometry", "--n", "4", "--p", "3", "--format", "table")
             assert status == 0
             assert [line.strip() for line in out.splitlines() if "swap" in line] == [f"swap (4): {verdicts}"]
@@ -113,6 +119,12 @@ class TestVerbs:
         status, out = run_cli(capsys, "isometry", "--group", "sym", "--n", "14", "--p", str(p))
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SYM_N14_ISOMETRY_SHA256[p]
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_isometry_sym_p3_digest(self, capsys, n):
+        status, out = run_cli(capsys, "isometry", "--group", "sym", "--n", str(n), "--p", "3")
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SYM_P3_ISOMETRY_SHA256[n]
 
     def test_isometry_alt_cover(self, capsys):
         status, out = run_cli(capsys, "isometry", "--group", "alt", "--n", "6", "--p", "3")
@@ -155,6 +167,23 @@ class TestContract:
             cli.run(["cores", "--n", "3", "--p", "9" * 25])
         assert exc.value.code == 2
         assert "3317044064679887385961981" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["blocks", "verify", "counts"])
+    def test_large_prime_runs_fast(self, capsys, verb):
+        # only the residue pairs that a label's parts occupy are visited, not all (p - 1)/2
+        start = time.perf_counter()
+        status, out = run_cli(capsys, verb, "--n", "3", "--p", "1000003")
+        assert status == 0 and time.perf_counter() - start < 1
+        validate(json.loads(out))
+
+    def test_prime_above_quotient_bound_exits_2(self, capsys):
+        # a quotient holds (p - 1)/2 components: refused before any is built
+        for p in ("2097169", "100000000000031"):
+            for verb in ("cores", "blocks"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.run([verb, "--n", "3", "--p", p])
+                assert exc.value.code == 2
+                assert "2097152" in capsys.readouterr().err
 
     def test_bad_core_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from spinbars.algnum import AlgNum
-from spinbars.barcomb import BarPartition, bar_core_quotient, delta_bar
+from spinbars.barcomb import BarPartition, bar_core_quotient, bar_partitions, delta_bar, sigma
 from spinbars.blocks import (
     SIDE_G,
     SIDE_H,
@@ -29,6 +28,8 @@ from spinbars.isometry import (
     perfect_check,
     split_value_matrix,
     swap_J,
+    swap_patch,
+    swap_reports,
 )
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
 from spinbars.zverify import block_table, p_integrality, restricted_matrix, split_table
@@ -214,11 +215,7 @@ class TestComposeKernel:
     def test_zero_kernel(self):
         b = block_n3()
         K = block_kernel(identity_iso(b), b)
-        zero = Kernel(
-            K.source_classes,
-            K.target_classes,
-            tuple(tuple(AlgNum() for _ in row) for row in K.table),
-        )
+        zero = Kernel(K.source_classes, K.target_classes, {}, K.den)
         out = compose_kernel(zero, K)
         assert all(v.is_zero() for row in out.table for v in row)
 
@@ -246,9 +243,9 @@ class TestBroue:
         K = block_kernel(swap_J(b, BarPartition((2, 1))), b)
         i = K.source_classes.index(find_class(K.source_classes, (1, 1, 1)))  # regular
         j = K.target_classes.index(find_class(K.target_classes, (3,)))  # singular
-        table = [list(row) for row in K.table]
-        table[i][j] = num(1)
-        bad = Kernel(K.source_classes, K.target_classes, tuple(tuple(r) for r in table))
+        cells = dict(K.cells)
+        cells[i, j] = {(1, 0): K.den}  # the entry 1
+        bad = Kernel(K.source_classes, K.target_classes, cells, K.den)
         rep = broue_check(bad, 3)
         assert not rep.passed and rep.support_failures
 
@@ -313,6 +310,117 @@ class TestKernelOf:
         values = split_value_matrix(b)
         assert K1.table == kernel_of_algnum(identity_iso(b), values, values).table
 
+    def test_integer_cells(self):
+        # only nonzero cells and coefficients are stored; from_table reads the dense form back
+        for b, _ in block_partition(SYM, 8, 3):
+            K = block_kernel(identity_iso(b), b)
+            assert K.cells and all(cell and all(cell.values()) for cell in K.cells.values())
+            assert len(K.cells) == sum(1 for row in K.table for v in row if v)
+            assert Kernel.from_table(K.source_classes, K.target_classes, K.table).table == K.table
+
+
+def _pairs(members) -> list:
+    return sorted({x.lam.parts for x in members if x.tag != SELF}, reverse=True)
+
+
+def _minus(a: dict, b: dict) -> dict:
+    """a - b for two cells' integer coefficients, without zero coefficients."""
+    diff = {key: a.get(key, 0) - b.get(key, 0) for key in a.keys() | b.keys()}
+    return {key: c for key, c in diff.items() if c}
+
+
+def _add(cells: dict, extra: dict) -> dict:
+    """Cellwise sum of two integer cell maps over one denominator, without empty cells."""
+    out = dict(cells)
+    for ij, cell in extra.items():
+        out[ij] = _minus(out.get(ij, {}), _minus({}, cell))
+    return {ij: cell for ij, cell in out.items() if cell}
+
+
+class TestSwapReports:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_match_full_swap_kernels(self, p):
+        # one identity kernel patched per swap gives every full swap kernel's report
+        swaps = 0
+        for n in range(1, 15):
+            for b, members in block_partition(SYM, n, p):
+                reports = swap_reports(b)
+                assert list(reports) == _pairs(members), b
+                K = block_kernel(identity_iso(b), b) if n <= 10 and reports else None
+                for lam in reports:
+                    KJ = block_kernel(swap_J(b, BarPartition(lam)), b)
+                    assert reports[lam] == broue_check(KJ, p), (b, lam)
+                    if K is not None:
+                        patch = swap_patch(K, b, BarPartition(lam))
+                        assert len(patch) == 4, (b, lam)  # two classes of type lam, with and without z
+                        patched = {ij: cell for ij, cell in (K.cells | patch).items() if cell}
+                        assert patched == KJ.cells, (b, lam)
+                    swaps += 1
+        # every plus/minus pair lies in one block and is swapped there once
+        assert swaps == sum(1 for n in range(1, 15) for lam in bar_partitions(n) if sigma(lam) == -1)
+
+    def test_no_swaps_on_the_alternating_cover(self):
+        for b, members in block_partition(ALT, 8, 3):
+            assert swap_reports(b) == {}
+
+    def test_patch_rejects_non_pairs(self):
+        b = block_n3()
+        K = block_kernel(identity_iso(b), b)
+        for lam in ((3,), (2,)):  # no pair; a pair outside the block
+            with pytest.raises(ValueError):
+                swap_patch(K, b, BarPartition(lam))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_damaged_identity_merges_like_full_kernels(self, p):
+        # Every real swap passes, so failures are made on purpose.  The identity
+        # kernel is thinned (den * p) and damaged in three cells: C, off every
+        # patch, becomes 1 (failing both conditions); A, in lam's patch, takes the
+        # patch's own value, so that lam's swap kernel is zero there; B, also in
+        # the patch, is cleared, so that the swap kernel is minus the patch there.
+        # The damage carries over to every swap kernel unchanged, so each merged
+        # report must equal broue_check of the full swap kernel plus the damage.
+        cases = 0
+        for n in range(p, 11):
+            for b, members in block_partition(SYM, n, p):
+                pairs = _pairs(members)
+                if not pairs:
+                    continue
+                K = block_kernel(identity_iso(b), b)
+                classes = K.source_classes
+                full = {lam: block_kernel(swap_J(b, BarPartition(lam)), b) for lam in pairs}
+                i = classes.index(find_class(classes, (1,) * n))
+                js = [j for j, y in enumerate(classes) if not y.is_regular(p) and y.pi not in pairs]
+                if not js:
+                    continue
+                C = (i, js[0])
+                for lam, KJ in full.items():
+                    # conj(delta) x delta, from the two full kernels
+                    P = _add(K.cells, {ij: _minus({}, cell) for ij, cell in KJ.cells.items()})
+                    A, B = min(P), max(P)
+                    damage = {  # new value minus old
+                        C: _minus({(1, 0): 1}, K.cells.get(C, {})),
+                        A: _minus(P[A], K.cells.get(A, {})),
+                        B: _minus({}, K.cells.get(B, {})),
+                    }
+                    D = Kernel(classes, classes, _add(K.cells, damage), K.den * p)
+                    got = swap_reports(b, identity=D)
+                    want = {
+                        mu: broue_check(Kernel(classes, classes, _add(KJ2.cells, damage), K.den * p), p)
+                        for mu, KJ2 in full.items()
+                    }
+                    assert got == want, (b, lam)
+                    # the merge is exercised: a failure of the identity cleared by the
+                    # patch (A), one the patch makes (B), one carried through (C)
+                    x, y = classes[A[0]], classes[A[1]]
+                    assert (x, y) in broue_check(D, p).integrality_failures
+                    assert (x, y) not in got[lam].integrality_failures
+                    x, y = classes[B[0]], classes[B[1]]
+                    assert (x, y) not in broue_check(D, p).integrality_failures
+                    assert (x, y) in got[lam].integrality_failures
+                    assert (classes[C[0]], classes[C[1]]) in got[lam].support_failures
+                    cases += 1
+        assert cases >= 10
+
 
 def _failed(kind: str, report) -> set:
     """(kind, condition) for each Broué condition the report fails."""
@@ -368,7 +476,7 @@ class TestIntegerPathsMatchOracles:
                     failures.update(_failed(kind, broue))
                 # dividing a kernel by p breaks condition (i) wherever p does not divide it
                 K = block_kernel(isos[0][1], b)
-                thin = Kernel(K.source_classes, K.target_classes, tuple(tuple(v * Fraction(1, p) for v in row) for row in K.table))
+                thin = Kernel(K.source_classes, K.target_classes, K.cells, K.den * p)
                 broue = broue_check(thin, p)
                 assert broue == broue_check_by_coefficients(thin, p), b
                 failures.update(_failed("thin", broue))
