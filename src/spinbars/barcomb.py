@@ -9,7 +9,7 @@ p-core/p-quotient needed by the doubling test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 
-# A BarQuotient holds all (p - 1)/2 components; the CLI refuses larger p,
-# which keeps a quotient at 2^20 components (8 MiB of references) or fewer.
+# The ``cores`` command prints all (p - 1)/2 components of every quotient;
+# the CLI refuses a larger p there, which keeps each at 2^20 components or fewer.
 P_BOUND = 2**21
 
 
@@ -101,23 +101,50 @@ class BarPartition:
         return f"BarPartition{self.parts}"
 
 
-@dataclass(frozen=True)
+_EMPTY = Partition(())
+
+
+@dataclass(frozen=True, init=False)
 class BarQuotient:
     """Quotient attached to a bar partition modulo an odd prime p.
 
     ``lambda0`` collects the parts divisible by p (divided by p, still
-    strict); ``components[i-1]`` is the ordinary partition carried by the
-    residue pair {i, p-i} for 1 <= i <= (p-1)/2.
+    strict); the residue pair {i, p-i}, 1 <= i <= (p-1)/2, carries an
+    ordinary partition, ``components[i-1]``.  Only the nonempty ones are
+    stored, as ``occupied`` pairs (i, partition) with i ascending, so a
+    quotient's size does not grow with p.  The constructor takes all
+    (p - 1)/2 components in order, or a dict {i: partition} of some.
     """
 
     lambda0: BarPartition
-    components: tuple[Partition, ...]
+    occupied: tuple[tuple[int, Partition], ...]
     p: int
 
-    @cached_property
+    def __init__(self, lambda0: BarPartition, components, p: int):
+        m = (p - 1) // 2
+        if isinstance(components, dict):
+            if not all(1 <= i <= m for i in components):
+                raise ValueError(f"residue pairs run from 1 to {m}, got {sorted(components)}")
+            items = sorted(components.items())
+        elif len(components) == m:
+            items = enumerate(components, 1)
+        else:
+            raise ValueError(f"a {p}-quotient has {m} components, got {len(components)}")
+        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "occupied", tuple((i, c) for i, c in items if c.parts))
+        object.__setattr__(self, "p", p)
+
+    @property
+    def components(self) -> tuple[Partition, ...]:
+        """All (p - 1)/2 components, the empty ones included."""
+        comps = [_EMPTY] * ((self.p - 1) // 2)
+        for i, c in self.occupied:
+            comps[i - 1] = c
+        return tuple(comps)
+
+    @property
     def weight(self) -> int:
-        """Read once per quotient: a large p gives (p - 1)/2 components, nearly all empty."""
-        return self.lambda0.n + sum(c.n for c in self.components if c.parts)
+        return self.lambda0.n + sum(c.n for _, c in self.occupied)
 
     def sigma(self) -> int:
         """(-1)**(weight - length of the strict component)."""
@@ -125,9 +152,6 @@ class BarQuotient:
 
     def is_empty(self) -> bool:
         return self.weight == 0
-
-
-_EMPTY = Partition(())
 
 
 def bar_partitions(n: int) -> list[BarPartition]:
@@ -214,8 +238,8 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
     bijection above turns the pair into the ordinary component, and the net
     charge leaves the packed residue-class parts that belong to the core.
     Only the pairs that lam's parts occupy are visited: every other pair
-    carries the empty partition with charge 0, so the work does not grow
-    with p.
+    carries the empty partition with charge 0, so neither the work nor the
+    quotient grows with p.
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -226,16 +250,16 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
         if r:
             i = min(r, p - r)
             runners.setdefault(i, (set(), set()))[r != i].add(a // p)
-    components = [_EMPTY] * ((p - 1) // 2)
+    components = {}
     core_parts = []
     for i, (aset, bset) in runners.items():
-        charge, components[i - 1] = _pair_to_partition(frozenset(aset), frozenset(bset))
+        charge, components[i] = _pair_to_partition(frozenset(aset), frozenset(bset))
         if charge > 0:
             core_parts.extend(i + k * p for k in range(charge))
         elif charge < 0:
             core_parts.extend((p - i) + k * p for k in range(-charge))
     core = BarPartition(tuple(sorted(core_parts, reverse=True)))
-    quotient = BarQuotient(lambda0, tuple(components), p)
+    quotient = BarQuotient(lambda0, components, p)
     if core.n + p * quotient.weight != lam.n:
         raise RuntimeError(f"core {core} and quotient of weight {quotient.weight} do not rebuild {lam}")
     return core, quotient
@@ -253,16 +277,17 @@ def from_core_quotient(core: BarPartition, quotient: BarQuotient, p: int) -> Bar
         raise ValueError(f"p must be an odd prime, got {p}")
     if quotient.p != p:
         raise ValueError(f"quotient was built for p={quotient.p}, not {p}")
-    if len(quotient.components) != (p - 1) // 2:
-        raise ValueError("quotient has the wrong number of components")
     if not is_bar_core(core, p):
         raise ValueError(f"{core} admits a removable {p}-bar")
     parts = [p * a for a in quotient.lambda0.parts]
-    for i in range(1, (p - 1) // 2 + 1):
+    # a residue pair with no core part and an empty component adds no part
+    components = dict(quotient.occupied)
+    pairs = {min(a % p, p - a % p) for a in core.parts if a % p}.union(components)
+    for i in sorted(pairs):
         charge = sum(1 for a in core.parts if a % p == i) - sum(
             1 for a in core.parts if a % p == p - i
         )
-        aset, bset = _pair_from_partition(charge, quotient.components[i - 1])
+        aset, bset = _pair_from_partition(charge, components.get(i, _EMPTY))
         parts.extend(i + k * p for k in aset)
         parts.extend((p - i) + k * p for k in bset)
     result = BarPartition(tuple(sorted(parts, reverse=True)))

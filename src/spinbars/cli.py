@@ -352,8 +352,8 @@ def run(argv=None) -> int:
             parser.error(f"--p: {exc}")
         if not prime:
             parser.error(f"--p must be an odd prime, got {args.p}")
-        if args.p > P_BOUND:
-            parser.error(f"--p must be at most {P_BOUND}: each p-bar quotient holds (p - 1)/2 components")
+        if args.command == "cores" and args.p > P_BOUND:
+            parser.error(f"cores --p must be at most {P_BOUND}: it prints all (p - 1)/2 quotient components")
         if args.command != "cores" and args.n < 1:
             parser.error("--n must be at least 1")
         if args.n < 0:

@@ -26,8 +26,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 
 from .algnum import ZERO, AlgNum, unit_product
 from .barcomb import BarPartition, bar_core_quotient, delta_bar, sigma
@@ -134,13 +136,30 @@ class Kernel:
     ``cells`` maps (source index, target index) to the entry's integer
     coefficients {(d, e): c} over the units sqrt(d) * i^e, all over the one
     denominator ``den``.  Only nonzero cells are stored, and only their
-    nonzero coefficients.
+    nonzero coefficients.  The kernel keeps a read-only copy of the cell
+    map; the cells themselves are never changed.  Two kernels are equal
+    when their classes and values are, whatever their denominators.
     """
 
     source_classes: tuple
     target_classes: tuple
     cells: dict
     den: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return (self.source_classes, self.target_classes, self.table) == (
+            other.source_classes,
+            other.target_classes,
+            other.table,
+        )
+
+    def __hash__(self):
+        return hash((self.source_classes, self.target_classes, self.table))
 
     @classmethod
     def from_table(cls, source_classes, target_classes, table) -> Kernel:
@@ -161,7 +180,7 @@ class Kernel:
         cell = self.cells.get((self.source_classes.index(x), self.target_classes.index(y)))
         return self._entry(cell) if cell else ZERO
 
-    @property
+    @cached_property
     def table(self) -> tuple:
         """The dense table of AlgNum entries, table[i][j] over source x target classes."""
         table = [[ZERO] * len(self.target_classes) for _ in self.source_classes]
@@ -225,14 +244,13 @@ def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
     """Kernel of the composition, averaging over the middle group's classes."""
     if a.target_classes != b.source_classes:
         raise ValueError("middle class lists do not match")
-    a_table, b_table = a.table, b.table
     table = []
     for i in range(len(a.source_classes)):
         row = []
         for k in range(len(b.target_classes)):
             total = AlgNum()
             for j, y in enumerate(a.target_classes):
-                total = total + a_table[i][j] * b_table[j][k] * Fraction(1, y.centralizer_order)
+                total = total + a.table[i][j] * b.table[j][k] * Fraction(1, y.centralizer_order)
             row.append(total)
         table.append(tuple(row))
     return Kernel.from_table(a.source_classes, b.target_classes, table)
@@ -308,21 +326,19 @@ def swap_patch(identity: Kernel, block: BlockId, lam: BarPartition) -> dict:
     return {ij: _nonzero(cell) for ij, cell in patch.items()}
 
 
-def swap_reports(block: BlockId, identity: Kernel | None = None) -> dict:
+def swap_reports(block: BlockId) -> dict:
     """The Broué report of every pair swap's kernel, keyed by the pair's parts in descending order.
 
     The identity kernel is built and checked once; each swap's kernel is
     that kernel with ``swap_patch`` applied, and only the patched cells are
-    checked again, by the rule of ``broue_check``.  ``identity`` replaces
-    block_kernel(identity_iso(block), block), for checks on a damaged one.
+    checked again, by the rule of ``broue_check``.
     """
     if block.group != SYM:
         return {}  # pair swaps are a symmetric-cover construction
     pairs = sorted({x.lam.parts for x in block_members(block) if x.tag != SELF}, reverse=True)
     if not pairs:
         return {}
-    if identity is None:
-        identity = block_kernel(identity_iso(block), block)
+    identity = block_kernel(identity_iso(block), block)
     base_i, base_ii = _failures(identity, identity.cells, block.p)
     reports = {}
     for lam in pairs:

@@ -350,10 +350,9 @@ def broue_check_by_coefficients(kernel, p: int) -> BroueReport:
     """Broué's two conditions, dividing every coefficient of every entry by each class's order."""
     bad_i = []
     bad_ii = []
-    table = kernel.table  # built on each read
     for i, x in enumerate(kernel.source_classes):
         for j, y in enumerate(kernel.target_classes):
-            v = table[i][j]
+            v = kernel.table[i][j]
             if not all(
                 _valuation(c / z.centralizer_order, p) >= 0
                 for c in v.coefficients().values()

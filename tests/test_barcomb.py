@@ -144,6 +144,26 @@ class TestBarCoreQuotient:
                     assert key not in seen
                     seen.add(key)
 
+    def test_stores_only_occupied_components(self):
+        # (5, 2) is one 7-bar on the residue pair {2, 5}; for larger p it is a core
+        lam = BarPartition((5, 2))
+        core, q = bar_core_quotient(lam, 7)
+        assert core.parts == () and q.occupied == ((2, Partition((1,))),)
+        assert q.components == (Partition(()), Partition((1,)), Partition(()))
+        assert q == BarQuotient(BarPartition(()), q.components, 7)
+        assert q == BarQuotient(BarPartition(()), {3: Partition(()), 2: Partition((1,))}, 7)
+        # neither the quotient nor the work grows with p
+        big = 100000000000031
+        core, q = bar_core_quotient(lam, big)
+        assert core == lam and q.occupied == () and q.weight == 0
+        assert from_core_quotient(core, q, big) == lam
+
+    def test_quotient_needs_every_component(self):
+        with pytest.raises(ValueError):
+            BarQuotient(BarPartition(()), (Partition(()),) * 2, 3)
+        with pytest.raises(ValueError):
+            BarQuotient(BarPartition(()), {2: Partition((1,))}, 3)
+
 
 class TestFromCoreQuotient:
     def test_weight_zero_fixed_point(self):

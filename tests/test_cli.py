@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from spinbars import cli
+from spinbars import barcomb, blocks, cli
 
 
 # sha256 of `spinbars isometry --group sym --n 14 --p <p>` stdout, by p
@@ -168,22 +168,40 @@ class TestContract:
         assert exc.value.code == 2
         assert "3317044064679887385961981" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["blocks", "verify", "counts"])
-    def test_large_prime_runs_fast(self, capsys, verb):
-        # only the residue pairs that a label's parts occupy are visited, not all (p - 1)/2
-        start = time.perf_counter()
-        status, out = run_cli(capsys, verb, "--n", "3", "--p", "1000003")
-        assert status == 0 and time.perf_counter() - start < 1
-        validate(json.loads(out))
+    @pytest.mark.parametrize("verb", ["blocks", "basic-set", "verify", "counts", "isometry"])
+    def test_large_prime_work_does_not_grow(self, capsys, monkeypatch, verb):
+        # only the residue pairs that a label's parts occupy are visited, not all
+        # (p - 1)/2, so two primes above n (one above the cores bound) take the
+        # same number of runner-pair conversions
+        calls = [0]
+        pair_to_partition = barcomb._pair_to_partition
 
-    def test_prime_above_quotient_bound_exits_2(self, capsys):
-        # a quotient holds (p - 1)/2 components: refused before any is built
+        def counted(aset, bset):
+            calls[0] += 1
+            return pair_to_partition(aset, bset)
+
+        monkeypatch.setattr(barcomb, "_pair_to_partition", counted)
+        work = []
+        for p in ("1000003", "2097169"):
+            calls[0] = 0
+            blocks._blocks.cache_clear()  # another verb may have partitioned these labels
+            status, out = run_cli(capsys, verb, "--n", "3", "--p", p)
+            assert status == 0
+            validate(json.loads(out))
+            work.append(calls[0])
+        assert work[0] == work[1] > 0
+
+    def test_cores_prime_above_bound_exits_2(self, capsys):
+        # cores prints all (p - 1)/2 components of each quotient
         for p in ("2097169", "100000000000031"):
-            for verb in ("cores", "blocks"):
-                with pytest.raises(SystemExit) as exc:
-                    cli.run([verb, "--n", "3", "--p", p])
-                assert exc.value.code == 2
-                assert "2097152" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["cores", "--n", "3", "--p", p])
+            assert exc.value.code == 2
+            assert "2097152" in capsys.readouterr().err
+        # the other verbs store only the occupied components
+        status, out = run_cli(capsys, "blocks", "--n", "3", "--p", "100000000000031")
+        assert status == 0
+        validate(json.loads(out))
 
     def test_bad_core_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from spinbars import isometry
 from spinbars.algnum import AlgNum
 from spinbars.barcomb import BarPartition, bar_core_quotient, bar_partitions, delta_bar, sigma
 from spinbars.blocks import (
@@ -318,6 +319,21 @@ class TestKernelOf:
             assert len(K.cells) == sum(1 for row in K.table for v in row if v)
             assert Kernel.from_table(K.source_classes, K.target_classes, K.table).table == K.table
 
+    def test_equality_compares_values(self):
+        # equal values over different denominators are one kernel, and a kernel is
+        # hashable and keeps its own cell map
+        b = block_n4()
+        K = block_kernel(identity_iso(b), b)
+        cells = {ij: {key: 2 * c for key, c in cell.items()} for ij, cell in K.cells.items()}
+        K2 = Kernel(K.source_classes, K.target_classes, cells, 2 * K.den)
+        assert K2 == K and hash(K2) == hash(K)
+        assert K2 == Kernel.from_table(K.source_classes, K.target_classes, K.table)
+        cells.clear()
+        assert K2.cells and K2 == K
+        with pytest.raises(TypeError):
+            K2.cells[0, 0] = {(1, 0): 1}
+        assert K2 != Kernel(K.source_classes, K.target_classes, K.cells, 3 * K.den)
+
 
 def _pairs(members) -> list:
     return sorted({x.lam.parts for x in members if x.tag != SELF}, reverse=True)
@@ -371,7 +387,7 @@ class TestSwapReports:
                 swap_patch(K, b, BarPartition(lam))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_damaged_identity_merges_like_full_kernels(self, p):
+    def test_damaged_identity_merges_like_full_kernels(self, p, monkeypatch):
         # Every real swap passes, so failures are made on purpose.  The identity
         # kernel is thinned (den * p) and damaged in three cells: C, off every
         # patch, becomes 1 (failing both conditions); A, in lam's patch, takes the
@@ -403,7 +419,9 @@ class TestSwapReports:
                         B: _minus({}, K.cells.get(B, {})),
                     }
                     D = Kernel(classes, classes, _add(K.cells, damage), K.den * p)
-                    got = swap_reports(b, identity=D)
+                    with monkeypatch.context() as m:
+                        m.setattr(isometry, "block_kernel", lambda iso, block, D=D: D)
+                        got = swap_reports(b)
                     want = {
                         mu: broue_check(Kernel(classes, classes, _add(KJ2.cells, damage), K.den * p), p)
                         for mu, KJ2 in full.items()
