@@ -123,9 +123,9 @@ class BarQuotient:
     def __init__(self, lambda0: BarPartition, components, p: int):
         m = (p - 1) // 2
         if isinstance(components, dict):
-            if not all(1 <= i <= m for i in components):
-                raise ValueError(f"residue pairs run from 1 to {m}, got {sorted(components)}")
             items = sorted(components.items())
+            if items and not 1 <= items[0][0] <= items[-1][0] <= m:
+                raise ValueError(f"residue pairs run from 1 to {m}, got {sorted(components)}")
         elif len(components) == m:
             items = enumerate(components, 1)
         else:
@@ -244,16 +244,12 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     lambda0 = BarPartition(tuple(sorted((a // p for a in lam.parts if a % p == 0), reverse=True)))
-    runners: dict[int, tuple[set, set]] = {}  # i -> (A positions, B positions)
-    for a in lam.parts:
-        r = a % p
-        if r:
-            i = min(r, p - r)
-            runners.setdefault(i, (set(), set()))[r != i].add(a // p)
     components = {}
     core_parts = []
-    for i, (aset, bset) in runners.items():
-        charge, components[i] = _pair_to_partition(frozenset(aset), frozenset(bset))
+    for i in {min(a % p, p - a % p) for a in lam.parts if a % p}:
+        aset = frozenset((a - i) // p for a in lam.parts if a % p == i)
+        bset = frozenset((a - (p - i)) // p for a in lam.parts if a % p == p - i)
+        charge, components[i] = _pair_to_partition(aset, bset)
         if charge > 0:
             core_parts.extend(i + k * p for k in range(charge))
         elif charge < 0:
