@@ -173,11 +173,10 @@ def bar_partitions(n: int) -> list[BarPartition]:
     return [BarPartition(t) for t in rec(n, n)]
 
 
-def partitions(n: int, max_part: int | None = None) -> list[Partition]:
+def partitions(n: int) -> list[Partition]:
     """All ordinary partitions of n in lexicographically descending order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    bound = n if max_part is None else min(max_part, n)
 
     def rec(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:
@@ -188,7 +187,7 @@ def partitions(n: int, max_part: int | None = None) -> list[Partition]:
                 out.append((first,) + tail)
         return out
 
-    return [Partition(t) for t in rec(n, bound)]
+    return [Partition(t) for t in rec(n, n)]
 
 
 def sigma(lam: BarPartition) -> int:
@@ -263,8 +262,9 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
 
 def is_bar_core(lam: BarPartition, p: int) -> bool:
     """True when no p-bar can be removed from lam."""
-    _, quotient = bar_core_quotient(lam, p)
-    return quotient.is_empty()
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    return not bar_removals(lam.parts, p)
 
 
 def from_core_quotient(core: BarPartition, quotient: BarQuotient, p: int) -> BarPartition:

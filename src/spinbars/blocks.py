@@ -2,14 +2,18 @@
 
 Blocks of spin characters are grouped by the p-bar core of their labels; a
 pair of associates always shares the core, so block groups are stable under
-the sign twist.  The weight-w local side is handled purely combinatorially,
-through tuples of partitions.
+the sign twist.  The block map splits each label into core and quotient
+once and keeps every member's p-bar quotient: ``basic_set`` filters it on
+the strict component and ``isometry.iso_I`` reads it for the local labels.
+The weight-w local side is handled purely combinatorially, through tuples
+of partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .barcomb import (
     BarPartition,
@@ -74,15 +78,19 @@ class LocalLabel:
     def __post_init__(self):
         if self.side not in (SIDE_G, SIDE_H):
             raise ValueError(f"unknown side {self.side!r}")
-        s = self.quotient.sigma()
-        want_self = (s == 1) if self.side == SIDE_G else (s == -1)
-        if (self.tag == SELF) != want_self:
+        if (self.tag == SELF) == _splits(self.side, self.quotient):
+            s = self.quotient.sigma()
             raise ValueError(f"tag {self.tag} inconsistent with quotient sign {s} on side {self.side}")
 
     def __repr__(self):
         mark = {SELF: "", PLUS: "+", MINUS: "-"}[self.tag]
         comps = ",".join(str(c.parts) for c in self.quotient.components)
         return f"<{self.side}:({self.quotient.lambda0.parts};{comps}){mark}>"
+
+
+def _splits(side: str, quotient: BarQuotient) -> bool:
+    """Whether the quotient labels a plus/minus pair: sign -1 on the G side, +1 on H."""
+    return quotient.sigma() == (-1 if side == SIDE_G else 1)
 
 
 def block_of(x: SpinLabel, p: int) -> BlockId:
@@ -92,32 +100,33 @@ def block_of(x: SpinLabel, p: int) -> BlockId:
 
 
 @lru_cache(maxsize=16)
-def _blocks(group: str, n: int, p: int) -> dict[BlockId, tuple[SpinLabel, ...]]:
-    """Block -> members for every label of the cover, both in canonical order."""
-    seen: dict[BlockId, list[SpinLabel]] = {}
+def _blocks(group: str, n: int, p: int) -> dict[BlockId, MappingProxyType[SpinLabel, BarQuotient]]:
+    """Block -> {member: p-bar quotient} for every label of the cover, both in canonical order."""
+    seen: dict[tuple[BarPartition, int], dict[SpinLabel, BarQuotient]] = {}
     for x in labels(group, n):
-        seen.setdefault(block_of(x, p), []).append(x)
-    return {b: tuple(members) for b, members in seen.items()}
+        core, quotient = bar_core_quotient(x.lam, p)
+        seen.setdefault((core, quotient.weight), {})[x] = quotient
+    return {BlockId(group, p, core, w): MappingProxyType(members) for (core, w), members in seen.items()}
+
+
+def block_quotients(block: BlockId) -> MappingProxyType[SpinLabel, BarQuotient]:
+    """Each member of the block mapped to its p-bar quotient, in canonical label order."""
+    return _blocks(block.group, block.n, block.p).get(block, MappingProxyType({}))
 
 
 def block_members(block: BlockId) -> tuple[SpinLabel, ...]:
     """All labels of the block, in canonical label order."""
-    return _blocks(block.group, block.n, block.p).get(block, ())
+    return tuple(block_quotients(block))
 
 
 def block_partition(group: str, n: int, p: int) -> list[tuple[BlockId, tuple[SpinLabel, ...]]]:
     """Partition of the spin labels of the cover into blocks, canonical order."""
-    return list(_blocks(group, n, p).items())
+    return [(b, tuple(members)) for b, members in _blocks(group, n, p).items()]
 
 
 def basic_set(block: BlockId) -> tuple[SpinLabel, ...]:
     """Members of the block whose quotient has empty strict component."""
-    out = []
-    for x in block_members(block):
-        _, quotient = bar_core_quotient(x.lam, block.p)
-        if quotient.lambda0.n == 0:
-            out.append(x)
-    return tuple(out)
+    return tuple(x for x, quotient in block_quotients(block).items() if not quotient.lambda0.parts)
 
 
 # 17 entries measured on counts sym n=25 p=5
@@ -157,9 +166,7 @@ def local_basic_labels(w: int, p: int, side: str) -> tuple[LocalLabel, ...]:
     out = []
     for comps in quotient_tuples(w, (p - 1) // 2):
         q = BarQuotient(empty, comps, p)
-        s = q.sigma()
-        split = (s == -1) if side == SIDE_G else (s == 1)
-        if split:
+        if _splits(side, q):
             out.append(LocalLabel(side, q, PLUS))
             out.append(LocalLabel(side, q, MINUS))
         else:

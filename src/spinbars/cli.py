@@ -72,11 +72,6 @@ def _cmd_cores(args) -> tuple[list, int]:
                 "quotient": _quotient_json(quotient),
             }
         )
-    if not results:  # n = 0: the empty partition is its own core
-        results.append(
-            {"partition": [], "sign": 1, "core": [], "weight": 0,
-             "quotient": {"lambda0": [], "components": [[] for _ in range((args.p - 1) // 2)]}}
-        )
     return results, 0
 
 

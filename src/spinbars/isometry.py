@@ -2,7 +2,8 @@
 
 The swap isometry exchanges one plus/minus pair inside a block; the block
 isometry sends each label to the local label of its quotient with the sign
-prescribed by the relative sign and the size of the strict component.
+prescribed by the relative sign and the size of the strict component, and
+it reads each quotient from the block map (``blocks.block_quotients``).
 Kernels are two-variable class functions over split-class representatives;
 composition weights classes by their sizes.  Kernels are computed on the
 block's integer value table over every split class (``zverify.split_table``:
@@ -32,8 +33,10 @@ from operator import mul
 from types import MappingProxyType
 
 from .algnum import ZERO, AlgNum, unit_product
-from .barcomb import BarPartition, bar_core_quotient, delta_bar, sigma
-from .blocks import SIDE_G, SIDE_H, BlockId, LocalLabel, basic_set, block_members, local_basic_labels
+from .barcomb import BarPartition, delta_bar, sigma
+from .blocks import (
+    SIDE_G, SIDE_H, BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels,
+)
 from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, split_classes
 from .zverify import IntegerTable, ValueMatrix, int_valuation, split_table
 
@@ -114,8 +117,7 @@ def iso_I(block: BlockId) -> IsometrySpec:
         raise ValueError("the block isometry is only defined for positive weight")
     side = local_side(block)
     triples = []
-    for x in block_members(block):
-        _, quotient = bar_core_quotient(x.lam, block.p)
+    for x, quotient in block_quotients(block).items():
         sign = delta_bar(x.lam, block.p) * (-1) ** quotient.lambda0.n
         triples.append((x, LocalLabel(side, quotient, x.tag), sign))
     targets = tuple(t for _, t, _ in triples)

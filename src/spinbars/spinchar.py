@@ -62,24 +62,26 @@ class SpinLabel:
             raise ValueError(f"unknown group {self.group!r}")
         if self.tag not in (SELF, PLUS, MINUS):
             raise ValueError(f"unknown tag {self.tag!r}")
-        s = sigma(self.lam)
-        if self.group == SYM:
-            want_self = s == 1
-        else:
-            want_self = s == -1 or self.lam.n == 1
-        if (self.tag == SELF) != want_self:
+        if (self.tag == SELF) == _splits(self.group, self.lam):
+            s = sigma(self.lam)
             raise ValueError(f"tag {self.tag} inconsistent with sigma={s} for {self.lam} in {self.group}")
 
     @property
     def n(self) -> int:
         return self.lam.n
 
-    def is_pair(self) -> bool:
-        return self.tag != SELF
-
     def __repr__(self):
         mark = {SELF: "", PLUS: "+", MINUS: "-"}[self.tag]
         return f"<{self.group}:{self.lam.parts}{mark}>"
+
+
+def _splits(group: str, lam: BarPartition) -> bool:
+    """Whether lam labels a plus/minus pair of the cover: sym for sigma -1, alt for +1 and n > 1."""
+    if group == SYM:
+        return sigma(lam) == -1
+    if group == ALT:
+        return sigma(lam) == 1 and lam.n > 1
+    raise ValueError(f"unknown group {group!r}")
 
 
 def labels(group: str, n: int) -> tuple[SpinLabel, ...]:
@@ -88,14 +90,7 @@ def labels(group: str, n: int) -> tuple[SpinLabel, ...]:
         raise ValueError("n must be positive")
     out = []
     for lam in bar_partitions(n):
-        s = sigma(lam)
-        if group == SYM:
-            split = s == -1
-        elif group == ALT:
-            split = s == 1 and n > 1
-        else:
-            raise ValueError(f"unknown group {group!r}")
-        if split:
+        if _splits(group, lam):
             out.append(SpinLabel(group, lam, PLUS))
             out.append(SpinLabel(group, lam, MINUS))
         else:

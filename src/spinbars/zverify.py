@@ -237,31 +237,23 @@ def int_valuation(m: int, p: int) -> int:
     return v
 
 
-def least_valuation(v: AlgNum, p: int) -> int | None:
-    """Least valuation at p of v's coefficients over the radical basis; None at 0.
-
-    Each coefficient is a reduced fraction, so p divides a numerator only
-    where it does not divide the denominator: the least valuation is that
-    of the gcd of the numerators minus that of the lcm of the denominators.
-    """
-    if v.is_zero():
-        return None
-    coeffs = [c for _, c in v.terms]
-    num = gcd(*(c.numerator for c in coeffs))
-    den = lcm(*(c.denominator for c in coeffs))
-    return int_valuation(num, p) - int_valuation(den, p)
-
-
 def p_integrality(v: AlgNum, p: int, denominator: int) -> bool:
     """Whether v/denominator is integral at p.
 
     Coefficients over the radical basis must all have non-negative valuation
     after division; for odd p this is equivalent to membership in the
     localization at p of the algebraic integers, since the ring-of-integers
-    denominators in multiquadratic fields are powers of 2.
+    denominators in multiquadratic fields are powers of 2.  Each coefficient
+    is a reduced fraction, so p divides a numerator only where it does not
+    divide the denominator: the least valuation is that of the gcd of the
+    numerators minus that of the lcm of the denominators.
     """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
     needed = int_valuation(denominator, p)
-    least = least_valuation(v, p)
-    return least is None or least >= needed
+    if v.is_zero():
+        return True
+    coeffs = [c for _, c in v.terms]
+    num = gcd(*(c.numerator for c in coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
+    return int_valuation(num, p) - int_valuation(den, p) >= needed

@@ -133,6 +133,7 @@ class TestBarCoreQuotient:
                 core, q = bar_core_quotient(lam, p)
                 assert core.parts == next(iter(reachable))
                 assert core.n + p * q.weight == lam.n
+                assert is_bar_core(lam, p) == q.is_empty()
 
     def test_injective(self):
         for p in (3, 5):

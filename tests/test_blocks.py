@@ -1,5 +1,6 @@
 import pytest
 
+from spinbars import barcomb, blocks, isometry
 from spinbars.barcomb import BarPartition, bar_core_quotient
 from spinbars.blocks import (
     SIDE_G,
@@ -13,6 +14,7 @@ from spinbars.blocks import (
     local_basic_labels,
     quotient_tuples,
 )
+from spinbars.isometry import iso_I
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, epsilon_twist, labels
 
 
@@ -72,6 +74,26 @@ class TestBlockPartition:
                     seen.extend(members)
                     assert {epsilon_twist(x) for x in members} == set(members)
                 assert sorted(map(repr, seen)) == sorted(map(repr, all_labels))
+
+    @pytest.mark.parametrize("group, n", [(SYM, 10), (ALT, 12)])
+    def test_one_core_quotient_split_per_label(self, monkeypatch, group, n):
+        # the block map keeps each member's quotient, and basic_set and iso_I
+        # read it there instead of splitting the label again
+        calls = [0]
+        split = barcomb.bar_core_quotient
+
+        def counted(lam, p):
+            calls[0] += 1
+            return split(lam, p)
+
+        for module in (barcomb, blocks, isometry):
+            monkeypatch.setattr(module, "bar_core_quotient", counted, raising=False)
+        blocks._blocks.cache_clear()
+        for b, _ in block_partition(group, n, 3):
+            if b.weight > 0:
+                basic_set(b)
+                iso_I(b)
+        assert calls[0] == len(labels(group, n))
 
 
 class TestBasicSet:

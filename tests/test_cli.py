@@ -60,19 +60,20 @@ class TestVerbs:
         assert payload["results"][0]["summary"] == {"blocks": 1, "pass": 1, "fail": 0}
 
     def test_cores_zero(self, capsys):
-        status, out = run_cli(capsys, "cores", "--n", "0", "--p", "3")
-        assert status == 0
-        payload = json.loads(out)
-        validate(payload)
-        assert payload["results"] == [
-            {
-                "partition": [],
-                "sign": 1,
-                "core": [],
-                "weight": 0,
-                "quotient": {"lambda0": [], "components": [[]]},
-            }
-        ]
+        for p, components in (("3", [[]]), ("5", [[], []])):
+            status, out = run_cli(capsys, "cores", "--n", "0", "--p", p)
+            assert status == 0
+            payload = json.loads(out)
+            validate(payload)
+            assert payload["results"] == [
+                {
+                    "partition": [],
+                    "sign": 1,
+                    "core": [],
+                    "weight": 0,
+                    "quotient": {"lambda0": [], "components": components},
+                }
+            ]
 
     def test_basic_set_and_counts(self, capsys):
         status, out = run_cli(capsys, "basic-set", "--n", "7", "--p", "3", "--core", "1")
