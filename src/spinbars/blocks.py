@@ -1,12 +1,14 @@
-"""Spin block partition, basic-set labels, local labels, and Brauer counts.
+"""Spin block partition, basic-set labels, the local side, and Brauer counts.
 
 Blocks of spin characters are grouped by the p-bar core of their labels; a
 pair of associates always shares the core, so block groups are stable under
 the sign twist.  The block map splits each label into core and quotient
 once and keeps every member's p-bar quotient: ``basic_set`` filters it on
 the strict component and ``isometry.iso_I`` reads it for the local labels.
-The weight-w local side is handled purely combinatorially, through tuples
-of partitions.
+Following Brunat-Gramain, a block of weight w is matched to a weight-w
+local group (``local_side``), whose basic labels are the quotients with
+empty strict component; ``local_basic_labels`` visits only their occupied
+residue pairs, and their number is the block's Brauer count.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from types import MappingProxyType
 from .barcomb import (
     BarPartition,
     BarQuotient,
-    Partition,
     bar_core_quotient,
     is_bar_core,
     is_odd_prime,
     partitions,
     sigma,
 )
-from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, labels
+from .spinchar import MARKS, MINUS, PLUS, SELF, SYM, SpinLabel, labels
 
 SIDE_G = "G"
 SIDE_H = "H"
@@ -83,9 +84,8 @@ class LocalLabel:
             raise ValueError(f"tag {self.tag} inconsistent with quotient sign {s} on side {self.side}")
 
     def __repr__(self):
-        mark = {SELF: "", PLUS: "+", MINUS: "-"}[self.tag]
         comps = ",".join(str(c.parts) for c in self.quotient.components)
-        return f"<{self.side}:({self.quotient.lambda0.parts};{comps}){mark}>"
+        return f"<{self.side}:({self.quotient.lambda0.parts};{comps}){MARKS[self.tag]}>"
 
 
 def _splits(side: str, quotient: BarQuotient) -> bool:
@@ -129,42 +129,50 @@ def basic_set(block: BlockId) -> tuple[SpinLabel, ...]:
     return tuple(x for x, quotient in block_quotients(block).items() if not quotient.lambda0.parts)
 
 
-# 17 entries measured on counts sym n=25 p=5
-@lru_cache(maxsize=1 << 10)
-def _tuple_count(w: int, m: int) -> int:
-    """Number of m-tuples of partitions with total size w."""
-    if w == 0:
-        return 1
-    if m == 0:
-        return 0
-    return sum(_tuple_count(w - a, m - 1) * len(partitions(a)) for a in range(w + 1))
+def local_side(block: BlockId) -> str:
+    """Side of the weight-w local group matched to the block.
 
-
-def quotient_tuples(w: int, m: int) -> list[tuple[Partition, ...]]:
-    """All m-tuples of partitions with total size w, canonical order."""
-    if m == 0:
-        return [()] if w == 0 else []
-    out = []
-    for a in range(w, -1, -1):
-        for head in partitions(a):
-            for tail in quotient_tuples(w - a, m - 1):
-                out.append((head,) + tail)
-    return out
+    Symmetric cover: G side for positive block sign, H side otherwise; the
+    alternating cover takes the opposite side, which is forced by the tag
+    correspondence of the label bijection.
+    """
+    positive = block.sign == 1
+    if block.group == SYM:
+        return SIDE_G if positive else SIDE_H
+    return SIDE_H if positive else SIDE_G
 
 
 def local_basic_labels(w: int, p: int, side: str) -> tuple[LocalLabel, ...]:
     """Local labels whose quotient has empty strict component, expanded by side.
 
     The empty strict component forces the quotient sign (-1)**w, so all the
-    returned labels on a given side have the same tag shape.
+    returned labels on a given side have the same tag shape.  The order is
+    that of the dense (p - 1)/2-tuples of partitions, compared component by
+    component, larger size first; only occupied residue pairs are visited,
+    so the recursion is at most w deep whatever p is.
     """
     if w < 0:
         raise ValueError("w must be non-negative")
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    m = (p - 1) // 2
+    by_size = [partitions(a) for a in range(w + 1)]
+
+    def spreads(total: int, start: int):
+        """{pair: partition} over residue pairs start..m with nonempty parts of the given total size."""
+        if total == 0:
+            yield {}
+            return
+        # a dense tuple that leaves pair i empty sorts after every one that fills it
+        for i in range(start, m + 1):
+            for a in range(total, 0, -1):
+                for head in by_size[a]:
+                    for tail in spreads(total - a, i + 1):
+                        yield {i: head, **tail}
+
     empty = BarPartition(())
     out = []
-    for comps in quotient_tuples(w, (p - 1) // 2):
+    for comps in spreads(w, 1):
         q = BarQuotient(empty, comps, p)
         if _splits(side, q):
             out.append(LocalLabel(side, q, PLUS))
@@ -177,17 +185,10 @@ def local_basic_labels(w: int, p: int, side: str) -> tuple[LocalLabel, ...]:
 def brauer_count(block: BlockId) -> int:
     """Number of irreducible Brauer characters in the block.
 
-    Tuple count for the weight, doubled according to the parity/sign/group
-    rule; equals the size of the basic set.  The degenerate n = 1
-    alternating cover coincides with the symmetric cover and is not doubled.
+    The number of local basic labels on the block's local side, which is
+    the size of the basic set.  The degenerate n = 1 alternating cover
+    coincides with the symmetric cover and has one.
     """
-    w = block.weight
-    count = _tuple_count(w, (block.p - 1) // 2)
-    s = block.sign
-    if block.group == SYM:
-        doubled = (w % 2 == 1 and s == 1) or (w % 2 == 0 and s == -1)
-    else:
-        doubled = (w % 2 == 1 and s == -1) or (w % 2 == 0 and s == 1)
-        if block.n == 1:
-            doubled = False
-    return 2 * count if doubled else count
+    if block.n == 1:
+        return 1
+    return len(local_basic_labels(block.weight, block.p, local_side(block)))

@@ -9,9 +9,9 @@ from math import gcd
 
 from . import zverify
 from .barcomb import P_BOUND, BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
-from .blocks import BlockId, basic_set, block_partition, brauer_count
-from .isometry import basic_set_transport, iso_I, local_side, swap_reports
-from .spinchar import SpinLabel
+from .blocks import BlockId, basic_set, block_partition, brauer_count, local_side
+from .isometry import basic_set_transport, iso_I, swap_reports
+from .spinchar import MARKS, SpinLabel
 
 
 def _label_json(x: SpinLabel) -> dict:
@@ -212,10 +212,11 @@ def _cmd_selftest(args) -> tuple[list, int]:
     check(
         "sign-identity-n<=12",
         lambda: all(
-            sigma(lam) == sigma(bar_core_quotient(lam, p)[0]) * bar_core_quotient(lam, p)[1].sigma()
+            sigma(lam) == sigma(core) * quotient.sigma()
             for p in (3, 5)
             for n in range(13)
             for lam in bar_partitions(n)
+            for core, quotient in [bar_core_quotient(lam, p)]
         ),
     )
     check(
@@ -246,8 +247,7 @@ def _fmt_parts(parts) -> str:
 
 
 def _fmt_label(label: dict) -> str:
-    mark = {"self": "", "plus": "+", "minus": "-"}[label["tag"]]
-    return _fmt_parts(label["partition"]) + mark
+    return _fmt_parts(label["partition"]) + MARKS[label["tag"]]
 
 
 def _render_table(command: str, results: list) -> str:
@@ -299,7 +299,7 @@ def _render_table(command: str, results: list) -> str:
                     f"{_fmt_label(m['from'])} -> {m['sign']:+d}*"
                     + _fmt_parts(m["to"]["lambda0"])
                     + "|" + ",".join(_fmt_parts(c) for c in m["to"]["components"])
-                    + {"self": "", "plus": "+", "minus": "-"}[m["to"]["tag"]]
+                    + MARKS[m["to"]["tag"]]
                     for m in iso["mapping"]
                 )
                 lines.append(

@@ -1,9 +1,10 @@
 """Signed label bijections, kernel functions, and Broué-condition checks.
 
 The swap isometry exchanges one plus/minus pair inside a block; the block
-isometry sends each label to the local label of its quotient with the sign
-prescribed by the relative sign and the size of the strict component, and
-it reads each quotient from the block map (``blocks.block_quotients``).
+isometry sends each label to the local label of its quotient, on the
+block's local side (``blocks.local_side``), with the sign prescribed by the
+relative sign and the size of the strict component, and it reads each
+quotient from the block map (``blocks.block_quotients``).
 Kernels are two-variable class functions over split-class representatives;
 composition weights classes by their sizes.  Kernels are computed on the
 block's integer value table over every split class (``zverify.split_table``:
@@ -35,7 +36,7 @@ from types import MappingProxyType
 from .algnum import ZERO, AlgNum, unit_product
 from .barcomb import BarPartition, delta_bar, sigma
 from .blocks import (
-    SIDE_G, SIDE_H, BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels,
+    BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels, local_side,
 )
 from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, split_classes
 from .zverify import IntegerTable, ValueMatrix, int_valuation, split_table
@@ -98,19 +99,6 @@ def swap_J(block: BlockId, lam) -> IsometrySpec:
     return IsometrySpec(members, members, tuple(triples))
 
 
-def local_side(block: BlockId) -> str:
-    """Side of the weight-w local group matched to the block.
-
-    Symmetric cover: G side for positive block sign, H side otherwise; the
-    alternating cover takes the opposite side, which is forced by the tag
-    correspondence of the label bijection.
-    """
-    positive = block.sign == 1
-    if block.group == SYM:
-        return SIDE_G if positive else SIDE_H
-    return SIDE_H if positive else SIDE_G
-
-
 def iso_I(block: BlockId) -> IsometrySpec:
     """Signed bijection from block labels onto the weight-w local labels."""
     if block.weight == 0:
@@ -126,8 +114,8 @@ def iso_I(block: BlockId) -> IsometrySpec:
 
 def basic_set_transport(block: BlockId) -> bool:
     """Whether the block isometry maps the basic set onto the local basic labels."""
-    iso = iso_I(block)
-    images = {iso.image(x)[0] for x in basic_set(block)}
+    basic = set(basic_set(block))
+    images = {t for s, t, _ in iso_I(block).mapping if s in basic}
     return images == set(local_basic_labels(block.weight, block.p, local_side(block)))
 
 

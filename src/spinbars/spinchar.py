@@ -23,6 +23,7 @@ ALT = "alt"
 SELF = "self"
 PLUS = "plus"
 MINUS = "minus"
+MARKS = {SELF: "", PLUS: "+", MINUS: "-"}  # printed after a label's partition
 
 
 def z_cycle(pi: tuple[int, ...]) -> int:
@@ -71,8 +72,7 @@ class SpinLabel:
         return self.lam.n
 
     def __repr__(self):
-        mark = {SELF: "", PLUS: "+", MINUS: "-"}[self.tag]
-        return f"<{self.group}:{self.lam.parts}{mark}>"
+        return f"<{self.group}:{self.lam.parts}{MARKS[self.tag]}>"
 
 
 def _splits(group: str, lam: BarPartition) -> bool:

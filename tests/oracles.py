@@ -8,7 +8,9 @@ primality, a scan over every label for block members, an integer
 expansion with every class x key column, the Z-span decision with a
 separate unimodular transform and a k x k coordinate product, the
 isometry kernel and perfectness check in AlgNum arithmetic, and the Broué
-check coefficient by coefficient in Fraction arithmetic.
+check coefficient by coefficient in Fraction arithmetic, the local basic
+labels from dense tuples of all (p - 1)/2 components, and the Brauer count
+as a tuple count doubled by a parity/sign/group rule.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from itertools import product
 from math import lcm
 
 from spinbars.algnum import AlgNum
-from spinbars.blocks import block_of
+from spinbars.barcomb import BarPartition, BarQuotient, partitions
+from spinbars.blocks import SIDE_G, LocalLabel, block_of
 from spinbars.isometry import BroueReport, Kernel, split_value_matrix
-from spinbars.spinchar import labels
+from spinbars.spinchar import MINUS, PLUS, SELF, SYM, labels
 
 
 def strict_partitions_by_filter(n: int) -> set[tuple[int, ...]]:
@@ -184,6 +187,57 @@ def bounded_combination(rows: list[list[int]], target: list[int], bound: int):
 def block_members_by_scan(block) -> tuple:
     """Labels of the block found by testing every label of the cover."""
     return tuple(x for x in labels(block.group, block.n) if block_of(x, block.p) == block)
+
+
+def quotient_tuples(w: int, m: int) -> list[tuple]:
+    """All m-tuples of partitions with total size w, canonical order, one frame per component."""
+    if m == 0:
+        return [()] if w == 0 else []
+    out = []
+    for a in range(w, -1, -1):
+        for head in partitions(a):
+            for tail in quotient_tuples(w - a, m - 1):
+                out.append((head,) + tail)
+    return out
+
+
+def local_basic_labels_dense(w: int, p: int, side: str) -> tuple:
+    """Local labels with empty strict component, built from every dense quotient tuple."""
+    out = []
+    for comps in quotient_tuples(w, (p - 1) // 2):
+        q = BarQuotient(BarPartition(()), comps, p)
+        if q.sigma() == (-1 if side == SIDE_G else 1):
+            out += [LocalLabel(side, q, PLUS), LocalLabel(side, q, MINUS)]
+        else:
+            out.append(LocalLabel(side, q, SELF))
+    return tuple(out)
+
+
+def _tuple_count(w: int, m: int) -> int:
+    """Number of m-tuples of partitions with total size w."""
+    if w == 0:
+        return 1
+    if m == 0:
+        return 0
+    return sum(_tuple_count(w - a, m - 1) * len(partitions(a)) for a in range(w + 1))
+
+
+def brauer_count_closed_form(block) -> int:
+    """Tuple count for the weight, doubled by the parity/sign/group rule.
+
+    The degenerate n = 1 alternating cover coincides with the symmetric
+    cover and is not doubled.
+    """
+    w = block.weight
+    count = _tuple_count(w, (block.p - 1) // 2)
+    s = block.sign
+    if block.group == SYM:
+        doubled = (w % 2 == 1 and s == 1) or (w % 2 == 0 and s == -1)
+    else:
+        doubled = (w % 2 == 1 and s == -1) or (w % 2 == 0 and s == 1)
+        if block.n == 1:
+            doubled = False
+    return 2 * count if doubled else count
 
 
 def dense_integer_expansion(matrix) -> tuple[list[list[int]], list, int]:

@@ -12,10 +12,10 @@ from spinbars.blocks import (
     block_partition,
     brauer_count,
     local_basic_labels,
-    quotient_tuples,
 )
 from spinbars.isometry import iso_I
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, epsilon_twist, labels
+from oracles import brauer_count_closed_form, local_basic_labels_dense
 
 
 class TestBlockOf:
@@ -149,7 +149,7 @@ class TestLocalLabels:
         ]
 
     def test_weight3_p5_count(self):
-        assert len(quotient_tuples(3, 2)) == 10
+        assert len(local_basic_labels(3, 5, SIDE_H)) == 10  # odd weight splits nothing on H
         got = local_basic_labels(3, 5, SIDE_G)
         assert len(got) == 20  # odd weight on the G side doubles every tuple
 
@@ -161,6 +161,13 @@ class TestLocalLabels:
                 assert all(l.tag != SELF for l in g) and all(l.tag == SELF for l in h)
             else:
                 assert all(l.tag == SELF for l in g) and all(l.tag != SELF for l in h)
+
+    @pytest.mark.parametrize("side", [SIDE_G, SIDE_H])
+    def test_matches_dense_oracle(self, side):
+        # same labels in the same order as the enumeration over all (p - 1)/2 components
+        for p in (3, 5, 7, 11, 13):
+            for w in range(7):
+                assert local_basic_labels(w, p, side) == local_basic_labels_dense(w, p, side), (w, p)
 
     def test_tag_consistency_enforced(self):
         from spinbars.barcomb import BarQuotient, Partition
@@ -183,6 +190,20 @@ class TestBrauerCount:
     def test_invalid_core(self):
         with pytest.raises(ValueError):
             BlockId(SYM, 3, BarPartition((4, 2, 1)), 0)
+
+    def test_large_primes(self):
+        # one recursion frame per occupied residue pair, not one per component
+        assert brauer_count(BlockId(SYM, 673, BarPartition(()), 1)) == 672
+        assert brauer_count(BlockId(ALT, 2003, BarPartition(()), 1)) == 1001
+        assert len(local_basic_labels(1, 1987, SIDE_G)) == 1986
+        assert len(local_basic_labels(0, 2097143, SIDE_H)) == 2
+
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    def test_matches_closed_form(self, group):
+        for p in (3, 5, 7, 11, 13):
+            for n in range(1, 21):
+                for b, _ in block_partition(group, n, p):
+                    assert brauer_count(b) == brauer_count_closed_form(b), b
 
     @pytest.mark.parametrize("group", [SYM, ALT])
     def test_matches_basic_set_size(self, group):

@@ -144,6 +144,20 @@ class TestVerbs:
         validate(payload)
         assert all(c["ok"] for c in payload["results"])
 
+    def test_selftest_splits_each_partition_once(self, capsys, monkeypatch):
+        # the sign identity needs core and quotient of each (p, partition) from one split
+        calls = [0]
+        split = cli.bar_core_quotient
+
+        def counted(lam, p):
+            calls[0] += 1
+            return split(lam, p)
+
+        monkeypatch.setattr(cli, "bar_core_quotient", counted)
+        status, _ = run_cli(capsys, "selftest")
+        assert status == 0
+        assert calls[0] == 140  # strict partitions of n <= 12, for p = 3 and p = 5
+
 
 class TestContract:
     def test_unknown_verb_exits_2(self, capsys):
