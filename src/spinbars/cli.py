@@ -161,7 +161,7 @@ def _cmd_isometry(args) -> tuple[list, int]:
             iso = iso_I(b)
             entry["isometry"] = {
                 "side": local_side(b),
-                "basic_transport": basic_set_transport(b),
+                "basic_transport": basic_set_transport(iso, b),
                 "mapping": [
                     {
                         "from": _label_json(s),

@@ -6,8 +6,10 @@ block's local side (``blocks.local_side``), with the sign prescribed by the
 relative sign and the size of the strict component, and it reads each
 quotient from the block map (``blocks.block_quotients``).
 Kernels are two-variable class functions over split-class representatives;
-composition weights classes by their sizes.  Kernels are computed on the
-block's integer value table over every split class (``zverify.split_table``:
+composition weights classes by their sizes.  A split class x stands for x
+and zx: mu(zx, y) = mu(x, zy) = -mu(x, y), and zx has x's centralizer order
+and p-regularity, so Broué's conditions on x's cells decide zx's.  Kernels
+are computed on the block's integer value table (``zverify.split_table``:
 integer coefficients over the units sqrt(d) * i^e, one shared
 denominator), and a ``Kernel`` keeps them that way: integer cell sums over
 one denominator, nonzero cells only.  AlgNum appears only in
@@ -19,8 +21,8 @@ support, and on a block it is equivalent to the isometry commuting with
 restriction to p-regular classes, so ``perfect_check`` reads perfectness
 off the same kernel.  A block's pair swaps share one identity kernel:
 J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-, and delta
-lives on the two classes of type lam, so ``swap_reports`` checks the
-identity kernel once and each swap as a 2 x 2 patch of it.
+lives on the one split class of type lam, so ``swap_reports`` checks the
+identity kernel once and each swap as a one-cell patch of it.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ class IsometrySpec:
 
     def compose(self, other: IsometrySpec) -> IsometrySpec:
         """other after self (source of other = target of self)."""
+        images = {s: (t, sign) for s, t, sign in other.mapping}
         triples = []
         for s, t, sign in self.mapping:
-            t2, sign2 = other.image(t)
+            t2, sign2 = images[t]
             triples.append((s, t2, sign * sign2))
         return IsometrySpec(self.source, other.target, tuple(triples))
 
@@ -112,10 +115,10 @@ def iso_I(block: BlockId) -> IsometrySpec:
     return IsometrySpec(tuple(s for s, _, _ in triples), targets, tuple(triples))
 
 
-def basic_set_transport(block: BlockId) -> bool:
-    """Whether the block isometry maps the basic set onto the local basic labels."""
+def basic_set_transport(iso: IsometrySpec, block: BlockId) -> bool:
+    """Whether the isometry (the block's ``iso_I``) maps the basic set onto the local basic labels."""
     basic = set(basic_set(block))
-    images = {t for s, t, _ in iso_I(block).mapping if s in basic}
+    images = {t for s, t, _ in iso.mapping if s in basic}
     return images == set(local_basic_labels(block.weight, block.p, local_side(block)))
 
 
@@ -180,7 +183,7 @@ class Kernel:
 
 
 def split_value_matrix(block: BlockId) -> ValueMatrix:
-    """Block values over all split classes, both z-parities."""
+    """Block values over all split classes."""
     cols = split_classes(block.n, group=block.group)
     rows = block_members(block)
     return ValueMatrix(rows, cols, tuple(tuple(char_value(x, c) for c in cols) for x in rows))
@@ -231,7 +234,7 @@ def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:
 
 
 def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
-    """Kernel of the composition, averaging over the middle group's classes."""
+    """Kernel of the composition, averaging over the middle classes: y and zy, so twice y's term."""
     if a.target_classes != b.source_classes:
         raise ValueError("middle class lists do not match")
     table = []
@@ -240,7 +243,7 @@ def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
         for k in range(len(b.target_classes)):
             total = AlgNum()
             for j, y in enumerate(a.target_classes):
-                total = total + a.table[i][j] * b.table[j][k] * Fraction(1, y.centralizer_order)
+                total = total + a.table[i][j] * b.table[j][k] * Fraction(2, y.centralizer_order)
             row.append(total)
         table.append(tuple(row))
     return Kernel.from_table(a.source_classes, b.target_classes, table)
@@ -294,10 +297,10 @@ def swap_patch(identity: Kernel, block: BlockId, lam: BarPartition) -> dict:
 
     J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-, so its kernel
     is the identity kernel minus conj(delta) x delta.  delta is nonzero only
-    on the classes of type lam, so the patch covers those rows and columns.
-    Returns {(i, j): new cell} for every cell in delta's support, an empty
-    cell where the new entry is zero.  The patch is added to the integer
-    cells as they stand, those of block_kernel(identity_iso(block), block)
+    on the split class of type lam, so on the symmetric cover the patch is
+    one cell.  Returns {(i, j): new cell} for every cell in delta's support,
+    an empty cell where the new entry is zero.  The patch is added to the
+    integer cells as they stand, those of block_kernel(identity_iso(block), block)
     over split_table's den ** 2; over m times that denominator (the
     identity kernel divided by m) they give the swap kernel divided by m.
     """

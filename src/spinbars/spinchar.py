@@ -107,16 +107,15 @@ def epsilon_twist(x: SpinLabel) -> SpinLabel:
 
 @dataclass(frozen=True)
 class SplitClass:
-    """A conjugacy class of the cover on which spin characters can live.
+    """A class x of the cover on which spin characters live; it stands for zx too.
 
-    ``pi`` is the cycle type, ``zflag`` picks the class or its central
-    translate, and ``branch`` distinguishes the two alternating-group classes
-    when a class of all-odd distinct type splits there (0 when it does not).
+    Spin characters are odd under the central element z, and zx has x's
+    centralizer order and cycle type ``pi``.  ``branch`` distinguishes the two
+    alternating-group classes of an all-odd distinct type (0 elsewhere).
     """
 
     group: str
     pi: tuple[int, ...]
-    zflag: int
     branch: int
     centralizer_order: int
 
@@ -134,8 +133,7 @@ class SplitClass:
 
     def __repr__(self):
         b = f"#{self.branch}" if self.branch else ""
-        z = "z." if self.zflag else ""
-        return f"[{self.group}:{z}{self.pi}{b}]"
+        return f"[{self.group}:{self.pi}{b}]"
 
 
 def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], int]]:
@@ -165,15 +163,11 @@ def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], i
 
 @lru_cache(maxsize=16)
 def split_classes(n: int, group: str = SYM) -> tuple[SplitClass, ...]:
-    """Split classes of the cover, both z-parities, canonical order."""
+    """Split classes of the cover, one per central pair {x, zx}, canonical order."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for pi, branches, cent in _class_types(group, n):
-        for branch in branches:
-            for zflag in (0, 1):
-                out.append(SplitClass(group, pi, zflag, branch, cent))
-    return tuple(out)
+    types = _class_types(group, n)
+    return tuple(SplitClass(group, pi, branch, cent) for pi, branches, cent in types for branch in branches)
 
 
 # 23,238 entries on all blocks of sym n=25 p=11, 160,960 at n=32 p=11
@@ -215,25 +209,23 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
     On odd-type classes the value is the bar-strip recursion, halved for
     alternating-cover pair constituents; on the class of type lam itself a
     pair also carries the closed form +-i**m * sqrt(d), which the
-    alternating cover adds to the odd part.  A spin character is odd under
-    the central element, so every value at zflag 1 is negated.
+    alternating cover adds to the odd part.  The value at the central
+    translate zx is the negative of this one.
     """
     lam, pi = x.lam, c.pi
     odd = c.odd_type
     if x.group == SYM or x.tag == SELF:
         if odd:
             v = _odd_value(lam.parts, pi)
-            return {(1, 0): -2 * v if c.zflag else 2 * v} if v else {}
+            return {(1, 0): 2 * v} if v else {}
         # remaining sym split types are strict with sigma = -1; only the
-        # matching pair is nonzero there, with the classical four-value sign
-        # chain.  An alt self-associate is the restriction of one member of a
+        # matching pair is nonzero there, with opposite signs for plus and
+        # minus.  An alt self-associate is the restriction of one member of a
         # sym pair (or the degenerate n=1 label) and vanishes off odd types.
         if x.group != SYM or x.tag == SELF or pi != lam.parts:
             return {}
         h, unit = _root_term((lam.n - lam.length + 1) // 2, math.prod(pi) // 2)
-        if (x.tag == MINUS) ^ (c.zflag == 1):
-            h = -h
-        return {unit: 2 * h}
+        return {unit: -2 * h if x.tag == MINUS else 2 * h}
     # alternating-cover pair: half the sym value, plus half the difference
     # i**((n-l)/2) * sqrt(prod of parts) on the class of type lam; the plus
     # constituent takes the + sign on the canonical first branch (tie-break
@@ -244,10 +236,10 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
         if pi != lam.parts and whole % 2:
             raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
         if whole:
-            out[(1, 0)] = -whole if c.zflag else whole
+            out[(1, 0)] = whole
     if pi == lam.parts:
         h, unit = _root_term((lam.n - lam.length) // 2, math.prod(pi))
-        if (x.tag == MINUS) ^ (c.branch == 2) ^ (c.zflag == 1):
+        if (x.tag == MINUS) ^ (c.branch == 2):
             h = -h
         h += out.pop(unit, 0)
         if h:
@@ -283,13 +275,13 @@ def inner_product(
 ) -> Fraction:
     """Hermitian inner product of two spin value vectors over a class list.
 
-    The class list must carry both z-parities; class sizes enter through the
-    stored centralizer orders.  Spin characters vanish off the split classes,
-    so the sum over these classes is the full group average.
+    Class sizes enter through the stored centralizer orders.  Spin
+    characters vanish off the split classes, and x stands for x and zx, where
+    both values change sign, so x's term counts twice in the group average.
     """
     if not (len(f) == len(g) == len(classes)):
         raise ValueError("vectors and class list must have equal length")
     total = AlgNum()
     for vf, vg, c in zip(f, g, classes):
-        total = total + vf * vg.conjugate() * Fraction(1, c.centralizer_order)
+        total = total + vf * vg.conjugate() * Fraction(2, c.centralizer_order)
     return total.as_rational()

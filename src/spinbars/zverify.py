@@ -3,11 +3,12 @@
 Every character value is a sum of integer multiples of the Q-linearly
 independent units sqrt(d)*i^e over one shared denominator (1 or 2), so a
 block's value table is built as integers straight from the value rule in
-``spinchar``, in one place (``_integer_table``).  ``block_table`` covers
-the block's p-regular split classes at zflag 0 (values at the central
-translates are exact negatives, so any integral relation transfers) for
-the Z-span decision; ``split_table`` covers every split class, both
-z-parities, for the kernels and the perfectness check in ``isometry``.
+``spinchar``, in one place (``_integer_table``).  A split class x stands
+for its central translate zx, where every value is the exact negative, so
+any integral relation and any kernel condition transfers and the tables
+carry x alone.  ``block_table`` covers the block's p-regular split classes
+for the Z-span decision; ``split_table`` covers every split class, for the
+kernels and the perfectness check in ``isometry``.
 ``AlgNum`` appears only at the API and JSON boundary
 (``restricted_matrix``, ``integer_expansion`` and ``z_span_equal`` take
 and give exact values).  Every question about the table is then one
@@ -78,11 +79,11 @@ class IntegerTable(NamedTuple):
 # the same for every block of one (group, n, p): filtered once, not once per block
 @lru_cache(maxsize=16)
 def _regular_classes(group: str, n: int, p: int) -> tuple:
-    return tuple(c for c in split_classes(n, group=group) if c.zflag == 0 and c.is_regular(p))
+    return tuple(c for c in split_classes(n, group=group) if c.is_regular(p))
 
 
 def restricted_matrix(block: BlockId) -> ValueMatrix:
-    """Block values over its p-regular split classes at zflag 0."""
+    """Block values over its p-regular split classes."""
     cols = _regular_classes(block.group, block.n, block.p)
     rows = block_members(block)
     entries = tuple(tuple(char_value(x, c) for c in cols) for x in rows)
@@ -102,14 +103,14 @@ def _integer_table(row_keys: tuple, classes: tuple) -> IntegerTable:
 # one table per block; a verify run reads each block's table twice in a row
 @lru_cache(maxsize=8)
 def block_table(block: BlockId) -> IntegerTable:
-    """The block's integer value table over its p-regular split classes at zflag 0."""
+    """The block's integer value table over its p-regular split classes."""
     return _integer_table(block_members(block), _regular_classes(block.group, block.n, block.p))
 
 
 # one table per block, read by each of its kernels and perfectness checks
 @lru_cache(maxsize=8)
 def split_table(block: BlockId) -> IntegerTable:
-    """The block's integer value table over every split class, both z-parities."""
+    """The block's integer value table over every split class."""
     return _integer_table(block_members(block), split_classes(block.n, group=block.group))
 
 

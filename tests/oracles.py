@@ -10,11 +10,14 @@ separate unimodular transform and a k x k coordinate product, the
 isometry kernel and perfectness check in AlgNum arithmetic, and the Broué
 check coefficient by coefficient in Fraction arithmetic, the local basic
 labels from dense tuples of all (p - 1)/2 components, and the Brauer count
-as a tuple count doubled by a parity/sign/group rule.
+as a tuple count doubled by a parity/sign/group rule.  ``expand_z`` writes a
+kernel over the library's split classes out over both central translates
+of each class, which the library leaves implicit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -23,7 +26,8 @@ from spinbars.algnum import AlgNum
 from spinbars.barcomb import BarPartition, BarQuotient, partitions
 from spinbars.blocks import SIDE_G, LocalLabel, block_of
 from spinbars.isometry import BroueReport, Kernel, split_value_matrix
-from spinbars.spinchar import MINUS, PLUS, SELF, SYM, labels
+from spinbars.spinchar import MINUS, PLUS, SELF, SYM, SplitClass, labels
+from spinbars.zverify import ValueMatrix
 
 
 def strict_partitions_by_filter(n: int) -> set[tuple[int, ...]]:
@@ -375,7 +379,8 @@ def perfect_check_algnum(iso, p: int, block) -> bool:
         for eta in values.row_keys:
             coeff = AlgNum()
             for v, w, c in zip(restricted, vec[eta], classes):
-                coeff = coeff + v * w.conjugate() * Fraction(1, c.centralizer_order)
+                # c stands for c and zc, where v and w both change sign
+                coeff = coeff + v * w.conjugate() * Fraction(2, c.centralizer_order)
             img, sign = iso.image(eta)
             if not coeff.is_zero():
                 lhs = [acc + sign * coeff * v for acc, v in zip(lhs, vec[img])]
@@ -416,3 +421,44 @@ def broue_check_by_coefficients(kernel, p: int) -> BroueReport:
             if not v.is_zero() and x.is_regular(p) != y.is_regular(p):
                 bad_ii.append((x, y))
     return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))
+
+
+@dataclass(frozen=True)
+class ZClass:
+    """The split class ``cls`` (z = 0) or its central translate z.cls (z = 1)."""
+
+    cls: SplitClass
+    z: int
+
+    @property
+    def centralizer_order(self) -> int:
+        return self.cls.centralizer_order
+
+    def is_regular(self, p: int) -> bool:
+        return self.cls.is_regular(p)
+
+
+def z_classes(classes) -> tuple:
+    """Both central translates of every class, x before zx."""
+    return tuple(ZClass(c, z) for c in classes for z in (0, 1))
+
+
+def expand_z(kernel) -> Kernel:
+    """The kernel over z_classes of its class lists.
+
+    Spin characters are odd under z, so mu(z^a x, z^b y) = (-1)^(a + b) mu(x, y):
+    each cell becomes four, with signs +, -, -, +.
+    """
+    cells = {}
+    for (i, j), cell in kernel.cells.items():
+        for a in (0, 1):
+            for b in (0, 1):
+                sign = -1 if a != b else 1
+                cells[2 * i + a, 2 * j + b] = {key: sign * c for key, c in cell.items()}
+    return Kernel(z_classes(kernel.source_classes), z_classes(kernel.target_classes), cells, kernel.den)
+
+
+def z_value_matrix(values):
+    """A value matrix over z_classes of its classes: each value, then its negative at zx."""
+    entries = tuple(tuple(u for v in row for u in (v, -v)) for row in values.entries)
+    return ValueMatrix(values.row_keys, z_classes(values.classes), entries)

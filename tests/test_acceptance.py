@@ -23,6 +23,7 @@ from spinbars.isometry import (
     block_kernel,
     broue_check,
     identity_iso,
+    iso_I,
     local_side,
     swap_J,
 )
@@ -41,6 +42,7 @@ from spinbars.spinchar import (
     value_vector,
 )
 from spinbars.zverify import block_table, hnf, restricted_matrix, verify_basic_set
+from oracles import expand_z
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -153,10 +155,11 @@ def test_criterion_6_broue_conditions():
                     assert broue_check(kernel, p).passed, (block, lam)
                     checked += 1
     block = BlockId(SYM, 3, BarPartition((1,)), 1)
-    KJ = block_kernel(swap_J(block, BarPartition((4,))), block)
-    KI = block_kernel(identity_iso(block), block)
-    t = next(c for c in KJ.source_classes if c.pi == (4,) and c.zflag == 0)
-    zt = next(c for c in KJ.source_classes if c.pi == (4,) and c.zflag == 1)
+    # over both central translates of each class: t and zt
+    KJ = expand_z(block_kernel(swap_J(block, BarPartition((4,))), block))
+    KI = expand_z(block_kernel(identity_iso(block), block))
+    t = next(c for c in KJ.source_classes if c.cls.pi == (4,) and c.z == 0)
+    zt = next(c for c in KJ.source_classes if c.cls.pi == (4,) and c.z == 1)
     deltas = {
         (KJ.value(t, t) - KI.value(t, t)).as_rational(),
         (KJ.value(t, zt) - KI.value(t, zt)).as_rational(),
@@ -186,7 +189,7 @@ def test_criterion_7_character_value_integrity():
             tag = SELF if sigma(lam) == 1 else PLUS
             x = SpinLabel(SYM, lam, tag)
             for pi in odd_partitions(n):
-                c = next(k for k in split_classes(n) if k.pi == pi and k.zflag == 0)
+                c = next(k for k in split_classes(n) if k.pi == pi)
                 assert AlgNum.from_rational(spin_value(lam.parts, pi)) == char_value(x, c)
                 compared += 1
     report(
@@ -203,7 +206,7 @@ def test_criterion_8_label_level_transport():
             for n in range(1, 13):
                 for block, _ in block_partition(group, n, p):
                     if block.weight >= 1:
-                        assert basic_set_transport(block), block
+                        assert basic_set_transport(iso_I(block), block), block
                         side = local_side(block)
                         assert len(local_basic_labels(block.weight, p, side)) == len(
                             basic_set(block)

@@ -34,7 +34,14 @@ from spinbars.isometry import (
 )
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
 from spinbars.zverify import block_table, p_integrality, restricted_matrix, split_table
-from oracles import broue_check_by_coefficients, kernel_of_algnum, perfect_check_algnum
+from oracles import (
+    ZClass,
+    broue_check_by_coefficients,
+    expand_z,
+    kernel_of_algnum,
+    perfect_check_algnum,
+    z_value_matrix,
+)
 
 
 def num(x):
@@ -49,8 +56,8 @@ def block_n4():
     return BlockId(SYM, 3, BarPartition((1,)), 1)
 
 
-def find_class(classes, pi, zflag=0):
-    return next(c for c in classes if c.pi == pi and c.zflag == zflag)
+def find_class(classes, pi):
+    return next(c for c in classes if c.pi == pi)
 
 
 class TestIsometrySpec:
@@ -62,6 +69,15 @@ class TestIsometrySpec:
         with pytest.raises(ValueError):
             IsometrySpec(members, members, ((a, a, 1), (b, a, 1), (c, c, 1)))  # repeats target a
         IsometrySpec(members, members, ((a, b, 1), (b, a, -1), (c, c, 1)))
+
+    def test_compose_follows_each_image(self):
+        rng = random.Random("compose")
+        for b, members in block_partition(SYM, 9, 3):
+            for _ in range(3):
+                f = _random_signed_bijection(members, rng)
+                g = _random_signed_bijection(members, rng)
+                want = tuple((s, g.image(t)[0], sign * g.image(t)[1]) for s, t, sign in f.mapping)
+                assert f.compose(g).mapping == want, b
 
 
 class TestSwapJ:
@@ -147,9 +163,19 @@ class TestIsoI:
             for n in range(1, 11):
                 for b, _ in block_partition(group, n, p):
                     if b.weight >= 1:
-                        assert basic_set_transport(b), b
+                        iso = iso_I(b)
+                        assert basic_set_transport(iso, b), b
                         missing = len(local_basic_labels(b.weight, b.p, local_side(b)))
                         assert missing == len(basic_set(b))
+                        # exchanging the images of a basic and a non-basic label breaks it
+                        basic = set(basic_set(b))
+                        s0, t0, _ = next(m for m in iso.mapping if m[0] in basic)
+                        others = [m for m in iso.mapping if m[0] not in basic]
+                        if others:
+                            s1, t1, _ = others[0]
+                            swapped = {s0: t1, s1: t0}
+                            mapping = tuple((s, swapped.get(s, t), e) for s, t, e in iso.mapping)
+                            assert not basic_set_transport(IsometrySpec(iso.source, iso.target, mapping), b), b
 
 
 class TestKernels:
@@ -169,10 +195,10 @@ class TestKernels:
 
     def test_n4_discrepancy_is_twice_z(self):
         b = block_n4()
-        KJ = block_kernel(swap_J(b, BarPartition((4,))), b)
-        KI = block_kernel(identity_iso(b), b)
-        t = find_class(KJ.source_classes, (4,))
-        zt = find_class(KJ.source_classes, (4,), zflag=1)
+        # over both central translates of each class: t and zt
+        KJ = expand_z(block_kernel(swap_J(b, BarPartition((4,))), b))
+        KI = expand_z(block_kernel(identity_iso(b), b))
+        t, zt = (next(c for c in KJ.source_classes if c.cls.pi == (4,) and c.z == z) for z in (0, 1))
         deltas = {
             (KJ.value(t, t) - KI.value(t, t)).as_rational(),
             (KJ.value(t, zt) - KI.value(t, zt)).as_rational(),
@@ -368,7 +394,7 @@ class TestSwapReports:
                     assert reports[lam] == broue_check(KJ, p), (b, lam)
                     if K is not None:
                         patch = swap_patch(K, b, BarPartition(lam))
-                        assert len(patch) == 4, (b, lam)  # two classes of type lam, with and without z
+                        assert len(patch) == 1, (b, lam)  # the one split class of type lam
                         patched = {ij: cell for ij, cell in (K.cells | patch).items() if cell}
                         assert patched == KJ.cells, (b, lam)
                     swaps += 1
@@ -389,12 +415,13 @@ class TestSwapReports:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_damaged_identity_merges_like_full_kernels(self, p, monkeypatch):
         # Every real swap passes, so failures are made on purpose.  The identity
-        # kernel is thinned (den * p) and damaged in three cells: C, off every
-        # patch, becomes 1 (failing both conditions); A, in lam's patch, takes the
-        # patch's own value, so that lam's swap kernel is zero there; B, also in
-        # the patch, is cleared, so that the swap kernel is minus the patch there.
-        # The damage carries over to every swap kernel unchanged, so each merged
-        # report must equal broue_check of the full swap kernel plus the damage.
+        # kernel is thinned (den * p) and damaged in two cells: C, off every
+        # patch, becomes 1 (failing both conditions); T, lam's one patched cell,
+        # either takes the patch's own value (A), so that lam's swap kernel is
+        # zero there, or is cleared (B), so that the swap kernel is minus the
+        # patch there.  The damage carries over to every swap kernel unchanged,
+        # so each merged report must equal broue_check of the full swap kernel
+        # plus the damage.
         cases = 0
         for n in range(p, 11):
             for b, members in block_partition(SYM, n, p):
@@ -412,32 +439,29 @@ class TestSwapReports:
                 for lam, KJ in full.items():
                     # conj(delta) x delta, from the two full kernels
                     P = _add(K.cells, {ij: _minus({}, cell) for ij, cell in KJ.cells.items()})
-                    A, B = min(P), max(P)
-                    damage = {  # new value minus old
-                        C: _minus({(1, 0): 1}, K.cells.get(C, {})),
-                        A: _minus(P[A], K.cells.get(A, {})),
-                        B: _minus({}, K.cells.get(B, {})),
-                    }
-                    D = Kernel(classes, classes, _add(K.cells, damage), K.den * p)
-                    with monkeypatch.context() as m:
-                        m.setattr(isometry, "block_kernel", lambda iso, block, D=D: D)
-                        got = swap_reports(b)
-                    want = {
-                        mu: broue_check(Kernel(classes, classes, _add(KJ2.cells, damage), K.den * p), p)
-                        for mu, KJ2 in full.items()
-                    }
-                    assert got == want, (b, lam)
-                    # the merge is exercised: a failure of the identity cleared by the
-                    # patch (A), one the patch makes (B), one carried through (C)
-                    x, y = classes[A[0]], classes[A[1]]
-                    assert (x, y) in broue_check(D, p).integrality_failures
-                    assert (x, y) not in got[lam].integrality_failures
-                    x, y = classes[B[0]], classes[B[1]]
-                    assert (x, y) not in broue_check(D, p).integrality_failures
-                    assert (x, y) in got[lam].integrality_failures
-                    assert (classes[C[0]], classes[C[1]]) in got[lam].support_failures
-                    cases += 1
-        assert cases >= 10
+                    (T,) = P
+                    for cleared in (False, True):
+                        damage = {  # new value minus old
+                            C: _minus({(1, 0): 1}, K.cells.get(C, {})),
+                            T: _minus({} if cleared else P[T], K.cells.get(T, {})),
+                        }
+                        D = Kernel(classes, classes, _add(K.cells, damage), K.den * p)
+                        with monkeypatch.context() as m:
+                            m.setattr(isometry, "block_kernel", lambda iso, block, D=D: D)
+                            got = swap_reports(b)
+                        want = {
+                            mu: broue_check(Kernel(classes, classes, _add(KJ2.cells, damage), K.den * p), p)
+                            for mu, KJ2 in full.items()
+                        }
+                        assert got == want, (b, lam)
+                        # the merge is exercised: a failure of the identity cleared by the
+                        # patch (A), one the patch makes (B), one carried through (C)
+                        x, y = classes[T[0]], classes[T[1]]
+                        assert ((x, y) in broue_check(D, p).integrality_failures) != cleared
+                        assert ((x, y) in got[lam].integrality_failures) == cleared
+                        assert (classes[C[0]], classes[C[1]]) in got[lam].support_failures
+                        cases += 1
+        assert cases >= 20
 
 
 def _failed(kind: str, report) -> set:
@@ -461,6 +485,22 @@ def _random_signed_bijection(members: tuple, rng: random.Random) -> IsometrySpec
     return IsometrySpec(members, members, tuple((s, t, rng.choice((1, -1))) for s, t in zip(members, targets)))
 
 
+def _isometries(b: BlockId, members: tuple, rng: random.Random) -> list:
+    """(kind, isometry) for the identity, every swap, two faults and four random bijections."""
+    isos = [("identity", identity_iso(b))]
+    if b.group == SYM:
+        pairs = sorted({x.lam.parts for x in members if x.tag != SELF})
+        isos += [("swap", swap_J(b, BarPartition(lam))) for lam in pairs]
+    if len(members) >= 2:
+        isos += [("fault", _flip_sign(isos[0][1])), ("fault", _transpose(isos[-1][1]))]
+    return isos + [("random", _random_signed_bijection(members, rng)) for _ in range(4)]
+
+
+def _thinned(K: Kernel, p: int) -> Kernel:
+    """K divided by p, which breaks condition (i) wherever p does not divide it."""
+    return Kernel(K.source_classes, K.target_classes, K.cells, K.den * p)
+
+
 class TestIntegerPathsMatchOracles:
     @pytest.mark.parametrize("group", [SYM, ALT])
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -470,13 +510,7 @@ class TestIntegerPathsMatchOracles:
         rng = random.Random(f"{group}-{p}")
         for n in range(1, 10):
             for b, members in block_partition(group, n, p):
-                isos = [("identity", identity_iso(b))]
-                if group == SYM:
-                    pairs = sorted({x.lam.parts for x in members if x.tag != SELF})
-                    isos += [("swap", swap_J(b, BarPartition(lam))) for lam in pairs]
-                if len(members) >= 2:
-                    isos += [("fault", _flip_sign(isos[0][1])), ("fault", _transpose(isos[-1][1]))]
-                isos += [("random", _random_signed_bijection(members, rng)) for _ in range(4)]
+                isos = _isometries(b, members, rng)
                 values = split_value_matrix(b)
                 regular = restricted_matrix(b)  # same rows, other classes and denominator
                 assert kernel_of(isos[0][1], split_table(b), block_table(b)).table == (
@@ -492,9 +526,7 @@ class TestIntegerPathsMatchOracles:
                     assert broue == broue_check_by_coefficients(K, p), (b, iso)
                     assert perfect == (not broue.support_failures), (b, iso)
                     failures.update(_failed(kind, broue))
-                # dividing a kernel by p breaks condition (i) wherever p does not divide it
-                K = block_kernel(isos[0][1], b)
-                thin = Kernel(K.source_classes, K.target_classes, K.cells, K.den * p)
+                thin = _thinned(block_kernel(isos[0][1], b), p)
                 broue = broue_check(thin, p)
                 assert broue == broue_check_by_coefficients(thin, p), b
                 failures.update(_failed("thin", broue))
@@ -502,3 +534,34 @@ class TestIntegerPathsMatchOracles:
         assert False in verdicts["fault"]
         assert verdicts["random"] == {True, False}
         assert ("thin", "i") in failures
+
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_z_even_quarter_decides_the_kernel(self, group, p):
+        # a kernel over the split classes decides Broué's conditions over both
+        # central translates of each class: the same verdicts, and the failing
+        # pairs of the whole kernel are the z-translates of the quarter's
+        failures = set()
+        rng = random.Random(f"{group}-{p}")
+        for n in range(1, 10):
+            for b, members in block_partition(group, n, p):
+                isos = _isometries(b, members, rng)
+                kernels = [(kind, block_kernel(iso, b)) for kind, iso in isos]
+                kernels.append(("thin", _thinned(kernels[0][1], p)))
+                # expand_z is the kernel of the table over both translates
+                both = z_value_matrix(split_value_matrix(b))
+                assert expand_z(kernels[0][1]).table == kernel_of_algnum(isos[0][1], both, both).table, b
+                for kind, K in kernels:
+                    quarter = broue_check(K, p)
+                    whole = broue_check_by_coefficients(expand_z(K), p)
+                    assert whole.passed == quarter.passed, (b, kind)
+                    for got, want in (
+                        (whole.integrality_failures, quarter.integrality_failures),
+                        (whole.support_failures, quarter.support_failures),
+                    ):
+                        assert bool(got) == bool(want), (b, kind)
+                        assert set(got) == {
+                            (ZClass(x, a), ZClass(y, c)) for x, y in want for a in (0, 1) for c in (0, 1)
+                        }, (b, kind)
+                    failures.update(_failed(kind, quarter))
+        assert {("fault", "ii"), ("random", "i"), ("thin", "i")} <= failures

@@ -40,11 +40,11 @@ def bar_length_degree(lam: BarPartition) -> int:
     return int(d)
 
 
-def find_class(classes, pi, zflag=0, branch=None):
+def find_class(classes, pi, branch=None):
     for c in classes:
-        if c.pi == pi and c.zflag == zflag and (branch is None or c.branch == branch):
+        if c.pi == pi and (branch is None or c.branch == branch):
             return c
-    raise LookupError((pi, zflag, branch))
+    raise LookupError((pi, branch))
 
 
 class TestLabels:
@@ -99,28 +99,28 @@ class TestEpsilonTwist:
 
 class TestSplitClasses:
     def test_n3(self):
+        # one class x per central pair {x, zx}
         cls = split_classes(3)
-        assert len(cls) == 6
-        assert {(c.pi, c.zflag) for c in cls} == {
-            ((3,), 0), ((3,), 1), ((2, 1), 0), ((2, 1), 1), ((1, 1, 1), 0), ((1, 1, 1), 1),
-        }
+        assert len(cls) == 3
+        assert [c.pi for c in cls] == [(3,), (2, 1), (1, 1, 1)]
 
     def test_regular_filter(self):
         cls = block_table(BlockId(SYM, 3, BarPartition(()), 1)).classes
-        assert [(c.pi, c.zflag) for c in cls] == [((2, 1), 0), ((1, 1, 1), 0)]
+        assert [c.pi for c in cls] == [(2, 1), (1, 1, 1)]
 
     def test_centralizer_of_21(self):
         c = find_class(split_classes(3), (2, 1))
         assert c.centralizer_order == 2 * 2 * 1
 
     def test_sym_class_equation(self):
-        # split and non-split classes together must cover the whole cover group
+        # split and non-split classes together must cover the whole cover group;
+        # each split class x stands for x and zx, of the same size
         for n in range(1, 6):
             order = 2 * math.factorial(n)
             total = 0
             split_types = set()
             for c in split_classes(n):
-                total += order // c.centralizer_order
+                total += 2 * (order // c.centralizer_order)
                 split_types.add(c.pi)
             for mu in partitions(n):
                 if mu.parts not in split_types:
@@ -129,7 +129,7 @@ class TestSplitClasses:
 
     def test_alt_class_pairs_match_label_count(self):
         for n in range(2, 9):
-            pairs = len([c for c in split_classes(n, group=ALT) if c.zflag == 0])
+            pairs = len(split_classes(n, group=ALT))
             assert pairs == len(labels(ALT, n))
 
 
@@ -139,11 +139,11 @@ class TestCharValues:
         plus = SpinLabel(SYM, BarPartition((2, 1)), PLUS)
         minus = SpinLabel(SYM, BarPartition((2, 1)), MINUS)
         c = find_class(cls, (2, 1))
-        cz = find_class(cls, (2, 1), zflag=1)
         assert char_value(plus, c) == I
         assert char_value(minus, c) == -I
-        assert char_value(plus, cz) == -I
-        assert char_value(minus, cz) == I
+        # at the central translate z.c both values change sign
+        assert -char_value(plus, c) == -I
+        assert -char_value(minus, c) == I
 
     def test_self_vanishes_on_pair_class(self):
         cls = split_classes(3)
@@ -153,7 +153,7 @@ class TestCharValues:
     def test_kronecker_on_strict_negative_classes(self):
         for n in range(2, 8):
             cls = split_classes(n)
-            negatives = [c for c in cls if not is_odd_type(c.pi) and c.zflag == 0]
+            negatives = [c for c in cls if not is_odd_type(c.pi)]
             for x in labels(SYM, n):
                 for c in negatives:
                     v = char_value(x, c)
@@ -161,20 +161,6 @@ class TestCharValues:
                         assert v.is_zero(), (x, c)
                     else:
                         assert not v.is_zero()
-
-    def test_z_antisymmetry(self):
-        for group in (SYM, ALT):
-            for n in range(1, 8):
-                cls = split_classes(n, group=group)
-                flip = {
-                    (c.pi, c.branch, 0): find_class(cls, c.pi, 1, c.branch)
-                    for c in cls
-                    if c.zflag == 0
-                }
-                for x in labels(group, n):
-                    for c in cls:
-                        if c.zflag == 0:
-                            assert char_value(x, flip[(c.pi, c.branch, 0)]) == -char_value(x, c)
 
     def test_pair_agreement_on_odd_classes(self):
         for n in range(2, 9):

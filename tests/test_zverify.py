@@ -32,7 +32,7 @@ class TestRestrictedMatrix:
     def test_micro_instance(self):
         m = restricted_matrix(BlockId(SYM, 3, BarPartition(()), 1))
         assert {c.pi for c in m.classes} == {(1, 1, 1), (2, 1)}
-        assert all(c.zflag == 0 for c in m.classes)
+        assert len(m.classes) == 2  # one class per type: x stands for zx
         cols = {c.pi: i for i, c in enumerate(m.classes)}
         rows = {(x.lam.parts, x.tag): r for x, r in zip(m.row_keys, m.entries)}
         assert rows[((3,), SELF)][cols[(1, 1, 1)]] == num(2)
@@ -305,7 +305,7 @@ class TestOracles:
                         assert table.den in (1, 2)
                         assert _values_json(table) == [[v.to_json() for v in row] for row in m.entries], b
                         if n <= 12:
-                            # every split class, both z-parities: the isometry table
+                            # every split class: the isometry table
                             whole = split_table(b)
                             values = split_value_matrix(b)
                             rows, columns, den = integer_expansion(values)
