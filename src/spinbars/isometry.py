@@ -258,7 +258,18 @@ class BroueReport:
     support_failures: tuple  # (x, y) class pairs failing condition (ii)
 
 
-def _failures(kernel: Kernel, cells: dict, p: int) -> tuple[list, list]:
+def _class_conditions(kernel: Kernel, p: int) -> tuple[list, list, list, list]:
+    """Each class's centralizer valuation at p and p-regularity, source then target; indexed by the class."""
+    src, tgt = kernel.source_classes, kernel.target_classes
+    return (
+        [int_valuation(x.centralizer_order, p) for x in src],
+        [x.is_regular(p) for x in src],
+        [int_valuation(y.centralizer_order, p) for y in tgt],
+        [y.is_regular(p) for y in tgt],
+    )
+
+
+def _failures(kernel: Kernel, cells: dict, p: int, conditions: tuple) -> tuple[list, list]:
     """The (i, j) of the given nonzero cells failing condition (i), and (ii), in row-major order.
 
     Condition (i) asks that the entry divided by either class's centralizer
@@ -266,16 +277,16 @@ def _failures(kernel: Kernel, cells: dict, p: int) -> tuple[list, list]:
     int_valuation(gcd of the integer coefficients) - int_valuation(den),
     must reach the valuation of both orders.  Condition (ii) asks that no
     nonzero entry pair a p-regular class with a p-singular one.  A zero
-    entry meets both, so only the stored cells are visited.
+    entry meets both, so only the stored cells are visited.  ``conditions``
+    is the kernel's ``_class_conditions`` at p, computed once per kernel.
     """
     v_den = int_valuation(kernel.den, p)
+    v_src, reg_src, v_tgt, reg_tgt = conditions
     bad_i, bad_ii = [], []
     for i, j in sorted(cells):
-        x, y = kernel.source_classes[i], kernel.target_classes[j]
-        need = max(int_valuation(x.centralizer_order, p), int_valuation(y.centralizer_order, p))
-        if int_valuation(gcd(*cells[i, j].values()), p) - v_den < need:
+        if int_valuation(gcd(*cells[i, j].values()), p) - v_den < max(v_src[i], v_tgt[j]):
             bad_i.append((i, j))
-        if x.is_regular(p) != y.is_regular(p):
+        if reg_src[i] != reg_tgt[j]:
             bad_ii.append((i, j))
     return bad_i, bad_ii
 
@@ -289,7 +300,7 @@ def _report(kernel: Kernel, bad_i, bad_ii) -> BroueReport:
 
 def broue_check(kernel: Kernel, p: int) -> BroueReport:
     """Centralizer-divisibility (i) and regular/singular support (ii) conditions."""
-    return _report(kernel, *_failures(kernel, kernel.cells, p))
+    return _report(kernel, *_failures(kernel, kernel.cells, p, _class_conditions(kernel, p)))
 
 
 def swap_patch(identity: Kernel, block: BlockId, lam: BarPartition) -> dict:
@@ -332,11 +343,13 @@ def swap_reports(block: BlockId) -> dict:
     if not pairs:
         return {}
     identity = block_kernel(identity_iso(block), block)
-    base_i, base_ii = _failures(identity, identity.cells, block.p)
+    conditions = _class_conditions(identity, block.p)
+    base_i, base_ii = _failures(identity, identity.cells, block.p, conditions)
     reports = {}
     for lam in pairs:
         patch = swap_patch(identity, block, BarPartition(lam))
-        new_i, new_ii = _failures(identity, {ij: cell for ij, cell in patch.items() if cell}, block.p)
+        patched = {ij: cell for ij, cell in patch.items() if cell}
+        new_i, new_ii = _failures(identity, patched, block.p, conditions)
         bad_i = sorted({ij for ij in base_i if ij not in patch}.union(new_i))
         bad_ii = sorted({ij for ij in base_ii if ij not in patch}.union(new_ii))
         reports[lam] = _report(identity, bad_i, bad_ii)

@@ -1,11 +1,12 @@
 """Spin-character labels, split conjugacy classes, and exact character values.
 
 Covers both the double cover of the symmetric group ("sym") and of the
-alternating group ("alt").  Values on odd-type classes come from a bar-strip
-recursion whose sign and 2-power conventions are locked by tests against a
-Schur Q-function oracle, the bar-length degree formula, and full row
-orthogonality.  Values on the remaining split classes follow the classical
-closed forms.
+alternating group ("alt").  Values on odd-type classes come from one column
+per class type, built by adding bars (the inverse of the bar-strip
+recursion); its sign and 2-power conventions are locked by tests against a
+Schur Q-function oracle, the bar-length degree formula, full row
+orthogonality and the removal recursion itself.  Values on the remaining
+split classes follow the classical closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algnum import AlgNum, squarefree_split
-from .barcomb import BarPartition, bar_partitions, bar_removals, partitions, sigma
+from .barcomb import BarPartition, bar_partitions, sigma
 
 SYM = "sym"
 ALT = "alt"
@@ -70,6 +71,11 @@ class SpinLabel:
     @property
     def n(self) -> int:
         return self.lam.n
+
+    @cached_property
+    def bits(self) -> int:
+        """The bar partition as a bit set, the key of its value in an odd-type column."""
+        return _bits(self.lam.parts)
 
     def __repr__(self):
         return f"<{self.group}:{self.lam.parts}{MARKS[self.tag]}>"
@@ -136,29 +142,35 @@ class SplitClass:
         return f"[{self.group}:{self.pi}{b}]"
 
 
+def _odd_partitions(n: int, cap: int) -> list[tuple[int, ...]]:
+    """Partitions of n into odd parts of at most cap, lexicographically descending."""
+    if n == 0:
+        return [()]
+    top = min(n, cap)
+    return [(a,) + tail for a in range(top - 1 + top % 2, 0, -2) for tail in _odd_partitions(n - a, a)]
+
+
 def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], int]]:
-    """(type, branches, centralizer_order) for every split type, canonical order."""
-    out = []
-    for mu in partitions(n):
-        pi = mu.parts
-        odd = is_odd_type(pi)
-        strict = is_strict(pi)
-        if group == SYM:
-            # split types: all parts odd, or distinct with an odd number of even parts
-            if odd or (strict and (n - len(pi)) % 2 == 1):
-                out.append((pi, [0], 2 * z_cycle(pi)))
-        else:
-            if n == 1:
-                out.append((pi, [0], 2))
-                continue
-            even_parts = sum(1 for a in pi if a % 2 == 0)
-            if even_parts % 2:
-                continue  # odd permutations, not in the alternating group
-            if odd and strict:
-                out.append((pi, [1, 2], 2 * z_cycle(pi)))
-            elif odd or strict:
-                out.append((pi, [0], z_cycle(pi)))
-    return out
+    """(type, branches, centralizer_order) for every split type, canonical order.
+
+    The split types are the odd-part types and the strict types of a fixed
+    sign: (n - length) odd on the symmetric cover, even on the alternating
+    one, where an odd-part strict type splits into two classes.  Both lists
+    come out lexicographically descending, the order of ``partitions``.
+    """
+    if group == ALT and n == 1:
+        return [((1,), [0], 2)]
+    factor, parity = (2, 1) if group == SYM else (1, 0)
+    types = [
+        (pi, [1, 2], 2 * z_cycle(pi)) if group == ALT and is_strict(pi) else (pi, [0], factor * z_cycle(pi))
+        for pi in _odd_partitions(n, n)
+    ]
+    types += [
+        (lam.parts, [0], factor * z_cycle(lam.parts))
+        for lam in bar_partitions(n)
+        if (n - lam.length) % 2 == parity and not is_odd_type(lam.parts)
+    ]
+    return sorted(types, key=lambda t: t[0], reverse=True)
 
 
 @lru_cache(maxsize=16)
@@ -170,28 +182,67 @@ def split_classes(n: int, group: str = SYM) -> tuple[SplitClass, ...]:
     return tuple(SplitClass(group, pi, branch, cent) for pi, branches, cent in types for branch in branches)
 
 
-# 23,238 entries on all blocks of sym n=25 p=11, 160,960 at n=32 p=11
-@lru_cache(maxsize=1 << 18)
-def _odd_value(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
-    """Common value of the labelled spin character(s) on the class of odd type pi.
+def _bits(parts: tuple[int, ...]) -> int:
+    """A strict partition as a bit set: bit a is set for each part a."""
+    bits = 0
+    for a in parts:
+        bits |= 1 << a
+    return bits
 
-    Bar-strip recursion: peel the largest part of pi as a bar of that length;
-    each removal contributes (-1)**leg, doubled when it crosses from a
-    self-associate label to a pair.  Cached; safe under concurrent use.
+
+# One column per odd-type class suffix: 311 for the block tables of sym and alt
+# n=25 p=11, 627 for those of sym n=35 p=5, 1,564 for those of sym n=40 p=7,
+# and 2,671 for every odd-type class of n=40 (the split tables)
+@lru_cache(maxsize=1 << 12)
+def _odd_column(pi: tuple[int, ...]) -> dict[int, int]:
+    """{bit set of strict lam: common value of the lam character(s) on odd type pi}, nonzero only.
+
+    Built from the column of pi[1:] by adding a pi[0]-bar to every mu in
+    every way, the inverse of a bar removal: grow a part b (or 0) of mu to
+    b + r where b + r is no part, with leg the parts strictly between b and
+    b + r; or add a pair (a, r - a) of non-parts, with leg a plus the parts
+    strictly between them.  Each addition contributes (-1)**leg times mu's
+    value, doubled when it goes from a pair label (sigma(mu) = -1) to a
+    self-associate one; that happens exactly when mu has sigma -1 and the
+    bar is not a new part r, since those two moves flip sigma and the new
+    part keeps it.  Cached; safe under concurrent use.
     """
     if not pi:
-        return 1 if not parts else 0
+        return {0: 1}
     r, rho = pi[0], pi[1:]
-    n = sum(parts)
-    s_lam = 1 if (n - len(parts)) % 2 == 0 else -1
-    total = 0
-    for rest, leg in bar_removals(parts, r):
-        s_mu = 1 if ((n - r) - len(rest)) % 2 == 0 else -1
-        c = -1 if leg % 2 else 1
-        if s_lam == 1 and s_mu == -1:
-            c *= 2
-        total += c * _odd_value(rest, rho)
-    return total
+    m = sum(rho)
+    inner = (1 << (r - 1)) - 1  # the r - 1 positions strictly inside an r-bar
+    out: dict[int, int] = {}
+    for mu, v in _odd_column(rho).items():
+        w = 2 * v if (m - mu.bit_count()) % 2 else v
+        # new part r
+        if not mu >> r & 1:
+            lam = mu | 1 << r
+            out[lam] = out.get(lam, 0) + (-v if (mu >> 1 & inner).bit_count() % 2 else v)
+        # grow part b to b + r
+        rest = mu
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if mu & low << r:
+                continue
+            b = low.bit_length() - 1
+            lam = mu ^ low | low << r
+            out[lam] = out.get(lam, 0) + (-w if (mu >> (b + 1) & inner).bit_count() % 2 else w)
+        # new pair (a, r - a)
+        for a in range(1, (r + 1) // 2):
+            pair = 1 << a | 1 << (r - a)
+            if mu & pair:
+                continue
+            lam = mu | pair
+            leg = a + (mu >> (a + 1) & ((1 << (r - 2 * a - 1)) - 1)).bit_count()
+            out[lam] = out.get(lam, 0) + (-w if leg % 2 else w)
+    return {lam: v for lam, v in out.items() if v}
+
+
+def _odd_value(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
+    """Common value of the labelled spin character(s) on the class of odd type pi."""
+    return _odd_column(pi).get(_bits(parts), 0)
 
 
 def _root_term(m: int, k: int) -> tuple[int, tuple[int, int]]:
@@ -206,7 +257,7 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
     Maps each unit (d, e), meaning sqrt(d) * i**e, to the integer h such
     that the value is the sum of h/2 times the unit; zero terms are left
     out.  Label and class must belong to the same cover and the same n.
-    On odd-type classes the value is the bar-strip recursion, halved for
+    On odd-type classes the value is read from the class type's column, halved for
     alternating-cover pair constituents; on the class of type lam itself a
     pair also carries the closed form +-i**m * sqrt(d), which the
     alternating cover adds to the odd part.  The value at the central
@@ -216,7 +267,7 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
     odd = c.odd_type
     if x.group == SYM or x.tag == SELF:
         if odd:
-            v = _odd_value(lam.parts, pi)
+            v = _odd_column(pi).get(x.bits, 0)
             return {(1, 0): 2 * v} if v else {}
         # remaining sym split types are strict with sigma = -1; only the
         # matching pair is nonzero there, with opposite signs for plus and
@@ -232,7 +283,7 @@ def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]
     # convention; verification results are invariant under the swap)
     out = {}
     if odd:
-        whole = _odd_value(lam.parts, pi)
+        whole = _odd_column(pi).get(x.bits, 0)
         if pi != lam.parts and whole % 2:
             raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
         if whole:

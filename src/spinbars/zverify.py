@@ -169,8 +169,12 @@ def integral_coordinates(target: list[int], H: list[list[int]], m: int):
     part leaves [0 | -y] exactly when target is in the Z-span of C.
     """
     residual = list(target) + [0] * len(H)
+    col = -1
     for row in H:
-        col = next(j for j, a in enumerate(row) if a)
+        # H is in echelon form: each (nonzero) row's pivot lies right of the previous one's
+        col += 1
+        while not row[col]:
+            col += 1
         if col >= m:
             break
         q, rem = divmod(residual[col], row[col])

@@ -10,7 +10,9 @@ separate unimodular transform and a k x k coordinate product, the
 isometry kernel and perfectness check in AlgNum arithmetic, and the Broué
 check coefficient by coefficient in Fraction arithmetic, the local basic
 labels from dense tuples of all (p - 1)/2 components, and the Brauer count
-as a tuple count doubled by a parity/sign/group rule.  ``expand_z`` writes a
+as a tuple count doubled by a parity/sign/group rule, the odd-type character
+values by the bar-strip removal recursion, and the split classes by a
+filter over every partition.  ``expand_z`` writes a
 kernel over the library's split classes out over both central translates
 of each class, which the library leaves implicit.
 """
@@ -19,14 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
 from spinbars.algnum import AlgNum
-from spinbars.barcomb import BarPartition, BarQuotient, partitions
+from spinbars.barcomb import BarPartition, BarQuotient, bar_removals, partitions
 from spinbars.blocks import SIDE_G, LocalLabel, block_of
 from spinbars.isometry import BroueReport, Kernel, split_value_matrix
-from spinbars.spinchar import MINUS, PLUS, SELF, SYM, SplitClass, labels
+from spinbars.spinchar import MINUS, PLUS, SELF, SYM, SplitClass, is_odd_type, is_strict, labels, z_cycle
 from spinbars.zverify import ValueMatrix
 
 
@@ -91,6 +94,54 @@ def delta_values_all_orders(parts: tuple[int, ...], p: int, removals) -> set[int
     for rest, leg in moves:
         for d in delta_values_all_orders(rest, p, removals):
             out.add((-1) ** leg * d)
+    return out
+
+
+@lru_cache(maxsize=None)
+def odd_value_by_removal(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
+    """Common value of the labelled spin character(s) on the class of odd type pi.
+
+    Bar-strip recursion: peel the largest part of pi as a bar of that length;
+    each removal contributes (-1)**leg, doubled when it crosses from a
+    self-associate label to a pair.
+    """
+    if not pi:
+        return 1 if not parts else 0
+    r, rho = pi[0], pi[1:]
+    n = sum(parts)
+    s_lam = 1 if (n - len(parts)) % 2 == 0 else -1
+    total = 0
+    for rest, leg in bar_removals(parts, r):
+        s_mu = 1 if ((n - r) - len(rest)) % 2 == 0 else -1
+        c = -1 if leg % 2 else 1
+        if s_lam == 1 and s_mu == -1:
+            c *= 2
+        total += c * odd_value_by_removal(rest, rho)
+    return total
+
+
+def split_class_types_by_filter(group: str, n: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(type, branch, centralizer order) of every split class, by filtering all partitions of n."""
+    out = []
+    for mu in partitions(n):
+        pi = mu.parts
+        odd = is_odd_type(pi)
+        strict = is_strict(pi)
+        if group == SYM:
+            # split types: all parts odd, or distinct with an odd number of even parts
+            if odd or (strict and (n - len(pi)) % 2 == 1):
+                out.append((pi, 0, 2 * z_cycle(pi)))
+        else:
+            if n == 1:
+                out.append((pi, 0, 2))
+                continue
+            even_parts = sum(1 for a in pi if a % 2 == 0)
+            if even_parts % 2:
+                continue  # odd permutations, not in the alternating group
+            if odd and strict:
+                out += [(pi, 1, 2 * z_cycle(pi)), (pi, 2, 2 * z_cycle(pi))]
+            elif odd or strict:
+                out.append((pi, 0, z_cycle(pi)))
     return out
 
 

@@ -24,6 +24,7 @@ from spinbars.spinchar import (
     z_cycle,
 )
 from spinbars.zverify import block_table
+from oracles import odd_value_by_removal, split_class_types_by_filter
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -127,6 +128,14 @@ class TestSplitClasses:
                     total += order // z_cycle(mu.parts)
             assert total == order
 
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    def test_match_filter_over_all_partitions(self, group):
+        # types, order, branches and centralizer orders of the filter the
+        # class list replaced, which tests every partition of n
+        for n in range(1, 21):
+            got = [(c.pi, c.branch, c.centralizer_order) for c in split_classes(n, group=group)]
+            assert got == split_class_types_by_filter(group, n), (group, n)
+
     def test_alt_class_pairs_match_label_count(self):
         for n in range(2, 9):
             pairs = len(split_classes(n, group=ALT))
@@ -221,6 +230,23 @@ class TestCharValues:
                 else:
                     # the paired sym values carry sqrt(z/2), so z must be even
                     assert math.prod(lam.parts) % 2 == 0, lam
+
+
+class TestOddColumns:
+    def test_match_removal_recursion(self):
+        # the bar-adding column against the bar-strip removal recursion
+        from spinbars.spinchar import _odd_value
+
+        for n in range(17):
+            for lam in bar_partitions(n):
+                for pi in odd_partitions(n):
+                    assert _odd_value(lam.parts, pi) == odd_value_by_removal(lam.parts, pi), (lam, pi)
+
+    def test_columns_hold_nonzero_values_only(self):
+        from spinbars.spinchar import _odd_column
+
+        for pi in odd_partitions(12):
+            assert all(_odd_column(pi).values()), pi
 
 
 class TestAgainstQOracle:
