@@ -93,16 +93,24 @@ def _cmd_basic_set(args) -> tuple[list, int]:
     return results, 0
 
 
+# every zero cell of a rendered matrix is this one dict; it is never mutated
+_ZERO_CELL = {"re": [], "im": []}
+
+
 def _values_json(table: zverify.IntegerTable) -> list[list[dict]]:
     """Each row's values in AlgNum.to_json form, rendered from the integer table."""
     den = table.den
+    width = len(table.classes)
     out = []
     for row in table.rows:
-        cells = [{"re": [], "im": []} for _ in table.classes]
+        cells = [_ZERO_CELL] * width
         for (j, (d, e)), a in zip(table.columns, row):
             if a:
+                cell = cells[j]
+                if cell is _ZERO_CELL:
+                    cell = cells[j] = {"re": [], "im": []}
                 g = gcd(a, den)
-                cells[j]["im" if e else "re"].append([a // g, den // g, d])
+                cell["im" if e else "re"].append([a // g, den // g, d])
         out.append(cells)
     return out
 

@@ -6,7 +6,8 @@ per class type, built by adding bars (the inverse of the bar-strip
 recursion); its sign and 2-power conventions are locked by tests against a
 Schur Q-function oracle, the bar-length degree formula, full row
 orthogonality and the removal recursion itself.  Values on the remaining
-split classes follow the classical closed forms.
+split classes follow the classical closed forms.  ``half_columns`` states
+this value rule once, for a list of labels on one class.
 """
 
 from __future__ import annotations
@@ -134,8 +135,13 @@ class SplitClass:
 
     @cached_property
     def odd_type(self) -> bool:
-        """Whether every cycle length is odd; read once per cell of a value table."""
+        """Whether every cycle length is odd; read once per column of a value table."""
         return is_odd_type(self.pi)
+
+    @cached_property
+    def strict(self) -> bool:
+        """Whether the cycle lengths are distinct; read once per column of a value table."""
+        return is_strict(self.pi)
 
     def __repr__(self):
         b = f"#{self.branch}" if self.branch else ""
@@ -251,51 +257,66 @@ def _root_term(m: int, k: int) -> tuple[int, tuple[int, int]]:
     return (-s if m % 4 >= 2 else s), (d, m % 2)
 
 
-def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]:
-    """Twice the value of the labelled character on the class, as integers.
+def half_columns(rows: tuple[SpinLabel, ...], c: SplitClass) -> dict[tuple[int, int], list[int]]:
+    """Twice the values of the labelled characters on the class, one integer column per unit.
 
-    Maps each unit (d, e), meaning sqrt(d) * i**e, to the integer h such
-    that the value is the sum of h/2 times the unit; zero terms are left
-    out.  Label and class must belong to the same cover and the same n.
-    On odd-type classes the value is read from the class type's column, halved for
+    Maps each unit (d, e), meaning sqrt(d) * i**e, to the list of integers
+    h, one per row, such that row r's value is the sum of h[r]/2 times the
+    unit; units that are zero in every row are left out.  Rows and class
+    must belong to the same cover and the same n.  On odd-type classes the
+    values are read from the class type's column, halved for
     alternating-cover pair constituents; on the class of type lam itself a
     pair also carries the closed form +-i**m * sqrt(d), which the
     alternating cover adds to the odd part.  The value at the central
     translate zx is the negative of this one.
     """
-    lam, pi = x.lam, c.pi
-    odd = c.odd_type
-    if x.group == SYM or x.tag == SELF:
-        if odd:
-            v = _odd_column(pi).get(x.bits, 0)
-            return {(1, 0): 2 * v} if v else {}
-        # remaining sym split types are strict with sigma = -1; only the
-        # matching pair is nonzero there, with opposite signs for plus and
-        # minus.  An alt self-associate is the restriction of one member of a
-        # sym pair (or the degenerate n=1 label) and vanishes off odd types.
-        if x.group != SYM or x.tag == SELF or pi != lam.parts:
-            return {}
-        h, unit = _root_term((lam.n - lam.length + 1) // 2, math.prod(pi) // 2)
-        return {unit: -2 * h if x.tag == MINUS else 2 * h}
-    # alternating-cover pair: half the sym value, plus half the difference
-    # i**((n-l)/2) * sqrt(prod of parts) on the class of type lam; the plus
-    # constituent takes the + sign on the canonical first branch (tie-break
-    # convention; verification results are invariant under the swap)
-    out = {}
-    if odd:
-        whole = _odd_column(pi).get(x.bits, 0)
-        if pi != lam.parts and whole % 2:
-            raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
-        if whole:
+    pi = c.pi
+    out: dict[tuple[int, int], list[int]] = {}
+    if c.odd_type:
+        column = _odd_column(pi)
+        if c.group == SYM:
+            whole = [2 * column.get(x.bits, 0) for x in rows]
+        else:
+            # an alternating-cover pair takes half the sym value: the whole
+            # column value, which off the class of type lam must be even
+            whole = []
+            for x in rows:
+                v = column.get(x.bits, 0)
+                if x.tag == SELF:
+                    v *= 2
+                elif v % 2 and pi != x.lam.parts:
+                    raise RuntimeError(f"odd restriction value {v} for {x} at {c}")
+                whole.append(v)
+        if any(whole):
             out[(1, 0)] = whole
-    if pi == lam.parts:
-        h, unit = _root_term((lam.n - lam.length) // 2, math.prod(pi))
-        if (x.tag == MINUS) ^ (c.branch == 2):
-            h = -h
-        h += out.pop(unit, 0)
-        if h:
-            out[unit] = h
+    # remaining sym split types are strict with sigma = -1; only the matching
+    # pair is nonzero there, with opposite signs for plus and minus.  An alt
+    # self-associate is the restriction of one member of a sym pair (or the
+    # degenerate n=1 label) and vanishes off odd types.  An alt pair adds
+    # half the difference i**((n-l)/2) * sqrt(prod of parts) on the class of
+    # type lam; the plus constituent takes the + sign on the canonical first
+    # branch (tie-break convention; verification results are invariant under
+    # the swap)
+    if c.strict:
+        pair = [(r, x.tag) for r, x in enumerate(rows) if x.tag != SELF and x.lam.parts == pi]
+        if pair:
+            m = c.n - len(pi)
+            if c.group == SYM:
+                h, unit = _root_term((m + 1) // 2, math.prod(pi) // 2)
+                h *= 2
+            else:
+                h, unit = _root_term(m // 2, math.prod(pi))
+            col = out.setdefault(unit, [0] * len(rows))
+            for r, tag in pair:
+                col[r] += -h if (tag == MINUS) ^ (c.branch == 2) else h
+            if not any(col):  # the closed form cancelled an alt pair's odd part
+                del out[unit]
     return out
+
+
+def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]:
+    """Twice the value of the labelled character on the class: the one-row view of ``half_columns``."""
+    return {unit: col[0] for unit, col in half_columns((x,), c).items()}
 
 
 def char_value(x: SpinLabel, c: SplitClass) -> AlgNum:

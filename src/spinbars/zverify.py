@@ -2,8 +2,8 @@
 
 Every character value is a sum of integer multiples of the Q-linearly
 independent units sqrt(d)*i^e over one shared denominator (1 or 2), so a
-block's value table is built as integers straight from the value rule in
-``spinchar``, in one place (``_integer_table``).  A split class x stands
+block's value table is built as integers straight from the value rule,
+``spinchar.half_columns``, one class column at a time.  A split class x stands
 for its central translate zx, where every value is the exact negative, so
 any integral relation and any kernel condition transfers and the tables
 carry x alone.  ``block_table`` covers the block's p-regular split classes
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .algnum import AlgNum
 from .blocks import BlockId, basic_set, block_members
-from .spinchar import char_value, half_coefficients, split_classes
+from .spinchar import char_value, half_columns, split_classes
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,17 @@ def restricted_matrix(block: BlockId) -> ValueMatrix:
 
 
 def _integer_table(row_keys: tuple, classes: tuple) -> IntegerTable:
-    """The integer value table of the labels over the classes, from the integer value rule."""
-    cells = [[half_coefficients(x, c) for c in classes] for x in row_keys]
-    columns = sorted({(j, unit) for row in cells for j, cell in enumerate(row) for unit in cell})
+    """The integer value table of the labels over the classes, built one class column at a time."""
+    columns, vectors = [], []
+    for j, c in enumerate(classes):
+        for unit, vector in sorted(half_columns(row_keys, c).items()):
+            columns.append((j, unit))
+            vectors.append(vector)
     # the rule gives twice each coefficient: den is 2 when one of them is odd
-    den = 2 if any(h % 2 for row in cells for cell in row for h in cell.values()) else 1
-    rows = tuple(tuple(row[j].get(unit, 0) * den // 2 for j, unit in columns) for row in cells)
+    den = 2 if any(h % 2 for vector in vectors for h in vector) else 1
+    if den == 1:
+        vectors = [[h // 2 for h in vector] for vector in vectors]
+    rows = tuple(zip(*vectors)) if vectors else tuple(() for _ in row_keys)
     return IntegerTable(row_keys, classes, rows, tuple(columns), den)
 
 
@@ -145,17 +150,18 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
+        # rows r..k-1, mat[r] among them, are zero left of col: every update starts at col
         for i in range(r + 1, k):
             while mat[i][col]:
                 q = mat[r][col] // mat[i][col]
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
+                mat[r][col:] = [a - q * b for a, b in zip(mat[r][col:], mat[i][col:])]
                 mat[r], mat[i] = mat[i], mat[r]
         if mat[r][col] < 0:
-            mat[r] = [-a for a in mat[r]]
+            mat[r][col:] = [-a for a in mat[r][col:]]
         for i in range(r):
             q = mat[i][col] // mat[r][col]
             if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+                mat[i][col:] = [a - q * b for a, b in zip(mat[i][col:], mat[r][col:])]
         r += 1
         if r == k:
             break
@@ -181,7 +187,8 @@ def integral_coordinates(target: list[int], H: list[list[int]], m: int):
         if rem:
             return None
         if q:
-            residual = [a - q * b for a, b in zip(residual, row)]
+            # row is zero left of its pivot
+            residual[col:] = [a - q * b for a, b in zip(residual[col:], row[col:])]
     if any(residual[:m]):
         return None
     return tuple(-a for a in residual[m:])

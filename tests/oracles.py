@@ -11,10 +11,10 @@ isometry kernel and perfectness check in AlgNum arithmetic, and the Broué
 check coefficient by coefficient in Fraction arithmetic, the local basic
 labels from dense tuples of all (p - 1)/2 components, and the Brauer count
 as a tuple count doubled by a parity/sign/group rule, the odd-type character
-values by the bar-strip removal recursion, and the split classes by a
-filter over every partition.  ``expand_z`` writes a
-kernel over the library's split classes out over both central translates
-of each class, which the library leaves implicit.
+values by the bar-strip removal recursion, the value rule one cell at a
+time, and the split classes by a filter over every partition.
+``expand_z`` writes a kernel over the library's split classes out over
+both central translates of each class, which the library leaves implicit.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
+from spinbars import spinchar
 from spinbars.algnum import AlgNum
 from spinbars.barcomb import BarPartition, BarQuotient, bar_removals, partitions
 from spinbars.blocks import SIDE_G, LocalLabel, block_of
@@ -118,6 +119,41 @@ def odd_value_by_removal(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
             c *= 2
         total += c * odd_value_by_removal(rest, rho)
     return total
+
+
+def half_coefficients_by_cell(x, c: SplitClass) -> dict[tuple[int, int], int]:
+    """Twice the value of the labelled character on the class, one cell at a time.
+
+    {(d, e): h} with the value the sum of h/2 * sqrt(d) * i**e, zero terms
+    left out: the per-cell statement of the value rule that the library
+    states once per class column.  The odd-type column is read through the
+    module, so a patched ``spinchar._odd_column`` reaches both statements.
+    """
+    lam, pi = x.lam, c.pi
+    odd = c.odd_type
+    if x.group == SYM or x.tag == SELF:
+        if odd:
+            v = spinchar._odd_column(pi).get(x.bits, 0)
+            return {(1, 0): 2 * v} if v else {}
+        if x.group != SYM or x.tag == SELF or pi != lam.parts:
+            return {}
+        h, unit = spinchar._root_term((lam.n - lam.length + 1) // 2, prod(pi) // 2)
+        return {unit: -2 * h if x.tag == MINUS else 2 * h}
+    out = {}
+    if odd:
+        whole = spinchar._odd_column(pi).get(x.bits, 0)
+        if pi != lam.parts and whole % 2:
+            raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
+        if whole:
+            out[(1, 0)] = whole
+    if pi == lam.parts:
+        h, unit = spinchar._root_term((lam.n - lam.length) // 2, prod(pi))
+        if (x.tag == MINUS) ^ (c.branch == 2):
+            h = -h
+        h += out.pop(unit, 0)
+        if h:
+            out[unit] = h
+    return out
 
 
 def split_class_types_by_filter(group: str, n: int) -> list[tuple[tuple[int, ...], int, int]]:

@@ -275,6 +275,21 @@ class TestContract:
         _, third = run_cli(capsys, *args)
         assert third == first
 
+    def test_zero_cells_share_one_unmutated_dict(self, capsys):
+        from spinbars import zverify
+        from spinbars.blocks import block_partition
+
+        runs = [
+            [run_cli(capsys, "verify", "--group", group, "--n", "9", "--p", "3")[1] for group in ("sym", "alt")]
+            for _ in range(2)
+        ]
+        assert cli._ZERO_CELL == {"re": [], "im": []}
+        assert runs[1] == runs[0]
+        b, _ = block_partition("alt", 9, 3)[0]
+        values = cli._values_json(zverify.block_table(b))
+        assert any(cell is cli._ZERO_CELL for row in values for cell in row)
+        assert all(cell is cli._ZERO_CELL or cell["re"] or cell["im"] for row in values for cell in row)
+
     def test_schema_covers_all_group_variants(self, capsys):
         for group in ("sym", "alt"):
             _, out = run_cli(capsys, "verify", "--group", group, "--n", "5", "--p", "3")

@@ -16,6 +16,8 @@ from spinbars.spinchar import (
     char_value,
     degree,
     epsilon_twist,
+    half_coefficients,
+    half_columns,
     inner_product,
     is_odd_type,
     labels,
@@ -24,7 +26,7 @@ from spinbars.spinchar import (
     z_cycle,
 )
 from spinbars.zverify import block_table
-from oracles import odd_value_by_removal, split_class_types_by_filter
+from oracles import half_coefficients_by_cell, odd_value_by_removal, split_class_types_by_filter
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -247,6 +249,35 @@ class TestOddColumns:
 
         for pi in odd_partitions(12):
             assert all(_odd_column(pi).values()), pi
+
+
+class TestValueColumns:
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    def test_columns_match_the_cell_oracle(self, group):
+        for n in range(1, 17):
+            rows = labels(group, n)
+            for c in split_classes(n, group=group):
+                columns = half_columns(rows, c)
+                assert all(any(col) and len(col) == len(rows) for col in columns.values()), c
+                for r, x in enumerate(rows):
+                    cell = half_coefficients_by_cell(x, c)
+                    assert {unit: col[r] for unit, col in columns.items() if col[r]} == cell, (x, c)
+                    assert half_coefficients(x, c) == cell, (x, c)
+
+    def test_odd_restriction_value_raises_on_both_paths(self, monkeypatch):
+        from spinbars import spinchar
+
+        x = SpinLabel(ALT, BarPartition((5,)), PLUS)
+        c = find_class(split_classes(5, group=ALT), (1, 1, 1, 1, 1))
+        monkeypatch.setattr(spinchar, "_odd_column", lambda pi: {x.bits: 1})
+        messages = []
+        for path in (lambda: half_columns((x,), c), lambda: half_coefficients(x, c)):
+            with pytest.raises(RuntimeError, match="odd restriction value 1") as exc:
+                path()
+            messages.append(str(exc.value))
+        with pytest.raises(RuntimeError) as exc:
+            half_coefficients_by_cell(x, c)
+        assert messages == [str(exc.value)] * 2
 
 
 class TestAgainstQOracle:
