@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=(verb != "cores"), default=0)
             sp.add_argument("--p", type=int, required=True)
             sp.add_argument("--group", choices=["sym", "alt"], default="sym")
-            sp.add_argument("--core", type=_parse_core, default=None)
+            if verb != "cores":  # cores lists every partition of n, whatever its core
+                sp.add_argument("--core", type=_parse_core, default=None)
         sp.add_argument("--format", choices=["json", "table"], default="json")
     return parser
 

@@ -19,10 +19,11 @@ condition (i) compares integer valuations at p of each stored cell and of
 the centralizer orders; his separation condition (ii) is the kernel's
 support, and on a block it is equivalent to the isometry commuting with
 restriction to p-regular classes, so ``perfect_check`` reads perfectness
-off the same kernel.  A block's pair swaps share one identity kernel:
-J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-, and delta
-lives on the one split class of type lam, so ``swap_reports`` checks the
-identity kernel once and each swap as a one-cell patch of it.
+off the same kernel.  A pair swap's Broué report is its block's identity
+report: J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-
+negates the one cell (c, c) of the identity kernel at the split class c of
+type lam, whose row and column are otherwise zero, and neither condition
+sees a sign, so ``swap_reports`` checks the identity kernel once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .algnum import ZERO, AlgNum, unit_product
-from .barcomb import BarPartition, delta_bar, sigma
+from .barcomb import delta_bar, sigma
 from .blocks import (
     BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels, local_side,
 )
@@ -61,6 +62,8 @@ class IsometrySpec:
         tgts = Counter(t for _, t, _ in self.mapping)
         if srcs != Counter(self.source) or tgts != Counter(self.target):
             raise ValueError("mapping is not a bijection between source and target")
+        if any(sign not in (1, -1) for _, _, sign in self.mapping):
+            raise ValueError("every sign of a signed bijection is 1 or -1")
 
     def image(self, x):
         for s, t, sign in self.mapping:
@@ -189,20 +192,6 @@ def split_value_matrix(block: BlockId) -> ValueMatrix:
     return ValueMatrix(rows, cols, tuple(tuple(char_value(x, c) for c in cols) for x in rows))
 
 
-def _add_term(cells: dict, i: int, j: int, k: tuple, l: tuple, total: int) -> None:
-    """Add total * conj(u_k) * u_l to cell (i, j)."""
-    c, key = unit_product(k, l)
-    if k[1]:  # conj(u_k) = -u_k when u_k carries i
-        c = -c
-    cell = cells.setdefault((i, j), {})
-    cell[key] = cell.get(key, 0) + c * total
-
-
-def _nonzero(cell: dict) -> dict:
-    """The cell without its cancelled coefficients."""
-    return {key: c for key, c in cell.items() if c}
-
-
 def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> Kernel:
     """Kernel: sum over source labels of sign * conj(value) x image value.
 
@@ -219,8 +208,13 @@ def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> 
         for (j, l), col_t in zip(target.columns, right):
             total = sum(map(mul, col_s, col_t))
             if total:
-                _add_term(cells, i, j, k, l, total)
-    cells = {ij: kept for ij, cell in cells.items() if (kept := _nonzero(cell))}
+                c, key = unit_product(k, l)
+                if k[1]:  # conj(u_k) = -u_k when u_k carries i
+                    c = -c
+                cell = cells.setdefault((i, j), {})
+                cell[key] = cell.get(key, 0) + c * total
+    # drop the cancelled coefficients, and the cells left empty
+    cells = {ij: kept for ij, cell in cells.items() if (kept := {key: a for key, a in cell.items() if a})}
     return Kernel(source.classes, target.classes, cells, source.den * target.den)
 
 
@@ -258,102 +252,52 @@ class BroueReport:
     support_failures: tuple  # (x, y) class pairs failing condition (ii)
 
 
-def _class_conditions(kernel: Kernel, p: int) -> tuple[list, list, list, list]:
-    """Each class's centralizer valuation at p and p-regularity, source then target; indexed by the class."""
-    src, tgt = kernel.source_classes, kernel.target_classes
-    return (
-        [int_valuation(x.centralizer_order, p) for x in src],
-        [x.is_regular(p) for x in src],
-        [int_valuation(y.centralizer_order, p) for y in tgt],
-        [y.is_regular(p) for y in tgt],
-    )
-
-
-def _failures(kernel: Kernel, cells: dict, p: int, conditions: tuple) -> tuple[list, list]:
-    """The (i, j) of the given nonzero cells failing condition (i), and (ii), in row-major order.
+def broue_check(kernel: Kernel, p: int) -> BroueReport:
+    """Centralizer-divisibility (i) and regular/singular support (ii) conditions.
 
     Condition (i) asks that the entry divided by either class's centralizer
     order be integral at p: the least valuation of its coefficients,
     int_valuation(gcd of the integer coefficients) - int_valuation(den),
     must reach the valuation of both orders.  Condition (ii) asks that no
     nonzero entry pair a p-regular class with a p-singular one.  A zero
-    entry meets both, so only the stored cells are visited.  ``conditions``
-    is the kernel's ``_class_conditions`` at p, computed once per kernel.
+    entry meets both, so only the stored cells are visited, in row-major
+    order.  Each class's valuation and p-regularity are computed once per
+    kernel.
     """
     v_den = int_valuation(kernel.den, p)
-    v_src, reg_src, v_tgt, reg_tgt = conditions
+    src, tgt = kernel.source_classes, kernel.target_classes
+    v_src = [int_valuation(x.centralizer_order, p) for x in src]
+    v_tgt = [int_valuation(y.centralizer_order, p) for y in tgt]
+    reg_src = [x.is_regular(p) for x in src]
+    reg_tgt = [y.is_regular(p) for y in tgt]
     bad_i, bad_ii = [], []
-    for i, j in sorted(cells):
-        if int_valuation(gcd(*cells[i, j].values()), p) - v_den < max(v_src[i], v_tgt[j]):
-            bad_i.append((i, j))
+    for i, j in sorted(kernel.cells):
+        if int_valuation(gcd(*kernel.cells[i, j].values()), p) - v_den < max(v_src[i], v_tgt[j]):
+            bad_i.append((src[i], tgt[j]))
         if reg_src[i] != reg_tgt[j]:
-            bad_ii.append((i, j))
-    return bad_i, bad_ii
-
-
-def _report(kernel: Kernel, bad_i, bad_ii) -> BroueReport:
-    def pairs(cells):
-        return tuple((kernel.source_classes[i], kernel.target_classes[j]) for i, j in cells)
-
-    return BroueReport(not bad_i and not bad_ii, pairs(bad_i), pairs(bad_ii))
-
-
-def broue_check(kernel: Kernel, p: int) -> BroueReport:
-    """Centralizer-divisibility (i) and regular/singular support (ii) conditions."""
-    return _report(kernel, *_failures(kernel, kernel.cells, p, _class_conditions(kernel, p)))
-
-
-def swap_patch(identity: Kernel, block: BlockId, lam: BarPartition) -> dict:
-    """The cells of the kernel of swap_J(block, lam) that differ from the identity kernel's.
-
-    J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-, so its kernel
-    is the identity kernel minus conj(delta) x delta.  delta is nonzero only
-    on the split class of type lam, so on the symmetric cover the patch is
-    one cell.  Returns {(i, j): new cell} for every cell in delta's support,
-    an empty cell where the new entry is zero.  The patch is added to the
-    integer cells as they stand, those of block_kernel(identity_iso(block), block)
-    over split_table's den ** 2; over m times that denominator (the
-    identity kernel divided by m) they give the swap kernel divided by m.
-    """
-    table = split_table(block)
-    rows = dict(zip(table.row_keys, table.rows))
-    pair = SpinLabel(block.group, lam, PLUS), SpinLabel(block.group, lam, MINUS)
-    if sigma(lam) != -1 or not all(x in rows for x in pair):
-        raise ValueError(f"{lam} does not label a plus/minus pair of {block}")
-    plus, minus = (rows[x] for x in pair)
-    delta = [(col, a - b) for col, a, b in zip(table.columns, plus, minus) if a != b]
-    support = sorted({i for (i, _), _ in delta})
-    patch = {(i, j): dict(identity.cells.get((i, j), {})) for i in support for j in support}
-    for (i, k), a in delta:
-        for (j, l), b in delta:
-            _add_term(patch, i, j, k, l, -a * b)
-    return {ij: _nonzero(cell) for ij, cell in patch.items()}
+            bad_ii.append((src[i], tgt[j]))
+    return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))
 
 
 def swap_reports(block: BlockId) -> dict:
     """The Broué report of every pair swap's kernel, keyed by the pair's parts in descending order.
 
-    The identity kernel is built and checked once; each swap's kernel is
-    that kernel with ``swap_patch`` applied, and only the patched cells are
-    checked again, by the rule of ``broue_check``.
+    Every swap's report is the identity kernel's.  J_lam = id - delta (x)
+    conj(delta) with delta = chi+ - chi-, so J_lam's kernel is the identity
+    kernel minus conj(delta) x delta, and delta lives on the one split class
+    c of type lam.  On c, chi+ and chi- = -chi+ are the only nonzero values
+    (``spinchar.half_columns``: sigma(lam) = -1 and lam is not an odd type),
+    so the identity kernel's row and column c are zero but for
+    (c, c) = 2|chi+(c)|^2, and J_lam turns that cell into its negative.
+    Both conditions read a cell only through its valuation and its support,
+    so the identity kernel is built and checked once per block.
     """
     if block.group != SYM:
         return {}  # pair swaps are a symmetric-cover construction
     pairs = sorted({x.lam.parts for x in block_members(block) if x.tag != SELF}, reverse=True)
     if not pairs:
         return {}
-    identity = block_kernel(identity_iso(block), block)
-    conditions = _class_conditions(identity, block.p)
-    base_i, base_ii = _failures(identity, identity.cells, block.p, conditions)
-    reports = {}
-    for lam in pairs:
-        patch = swap_patch(identity, block, BarPartition(lam))
-        patched = {ij: cell for ij, cell in patch.items() if cell}
-        new_i, new_ii = _failures(identity, patched, block.p, conditions)
-        bad_i = sorted({ij for ij in base_i if ij not in patch}.union(new_i))
-        bad_ii = sorted({ij for ij in base_ii if ij not in patch}.union(new_ii))
-        reports[lam] = _report(identity, bad_i, bad_ii)
-    return reports
+    return dict.fromkeys(pairs, broue_check(block_kernel(identity_iso(block), block), block.p))
 
 
 def perfect_check(iso: IsometrySpec, block: BlockId) -> bool:

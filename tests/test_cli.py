@@ -16,7 +16,7 @@ SYM_N14_ISOMETRY_SHA256 = {
     7: "7471f41fb95088376674702ba36838f4265f312f569a020c5e3e9a2de8380f72",
 }
 
-# the same at p = 3 for larger n, where each block has many swaps to patch
+# the same at p = 3 for larger n, where each block has many swaps
 SYM_P3_ISOMETRY_SHA256 = {
     16: "e90fd4b8a87d73390e9f81bacbc14ebe0378ec81c4f8c2b21e462376c819aaa4",
     18: "0c3f3cb2ec470e4de402fe3a5fc2d51cd0ba81c671ba460c17e7e02548ce2a4e",
@@ -205,6 +205,15 @@ class TestContract:
             validate(json.loads(out))
             work.append(calls[0])
         assert work[0] == work[1] > 0
+
+    def test_cores_rejects_core(self, capsys):
+        # cores lists every bar partition of n, so a core filter would be ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["cores", "--n", "5", "--p", "3", "--core", "2"])
+        assert exc.value.code == 2
+        assert "--core" in capsys.readouterr().err
+        status, out = run_cli(capsys, "cores", "--n", "5", "--p", "3")
+        assert status == 0 and json.loads(out)["parameters"]["core"] is None
 
     def test_cores_prime_above_bound_exits_2(self, capsys):
         # cores prints all (p - 1)/2 components of each quotient

@@ -29,7 +29,6 @@ from spinbars.isometry import (
     perfect_check,
     split_value_matrix,
     swap_J,
-    swap_patch,
     swap_reports,
 )
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
@@ -69,6 +68,13 @@ class TestIsometrySpec:
         with pytest.raises(ValueError):
             IsometrySpec(members, members, ((a, a, 1), (b, a, 1), (c, c, 1)))  # repeats target a
         IsometrySpec(members, members, ((a, b, 1), (b, a, -1), (c, c, 1)))
+
+    def test_rejects_signs_other_than_plus_minus_one(self):
+        members = block_members(block_n3())
+        a, b, c = members
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError):
+                IsometrySpec(members, members, ((a, a, 1), (b, b, sign), (c, c, 1)))
 
     def test_compose_follows_each_image(self):
         rng = random.Random("compose")
@@ -365,24 +371,12 @@ def _pairs(members) -> list:
     return sorted({x.lam.parts for x in members if x.tag != SELF}, reverse=True)
 
 
-def _minus(a: dict, b: dict) -> dict:
-    """a - b for two cells' integer coefficients, without zero coefficients."""
-    diff = {key: a.get(key, 0) - b.get(key, 0) for key in a.keys() | b.keys()}
-    return {key: c for key, c in diff.items() if c}
-
-
-def _add(cells: dict, extra: dict) -> dict:
-    """Cellwise sum of two integer cell maps over one denominator, without empty cells."""
-    out = dict(cells)
-    for ij, cell in extra.items():
-        out[ij] = _minus(out.get(ij, {}), _minus({}, cell))
-    return {ij: cell for ij, cell in out.items() if cell}
-
-
 class TestSwapReports:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_match_full_swap_kernels(self, p):
-        # one identity kernel patched per swap gives every full swap kernel's report
+        # every full swap kernel's report is the one swap_reports gives; up to n = 10
+        # the swap kernel is the identity kernel with its cell (c, c) negated, at the
+        # class c of the pair's type, and no other identity cell lies in row or column c
         swaps = 0
         for n in range(1, 15):
             for b, members in block_partition(SYM, n, p):
@@ -393,75 +387,75 @@ class TestSwapReports:
                     KJ = block_kernel(swap_J(b, BarPartition(lam)), b)
                     assert reports[lam] == broue_check(KJ, p), (b, lam)
                     if K is not None:
-                        patch = swap_patch(K, b, BarPartition(lam))
-                        assert len(patch) == 1, (b, lam)  # the one split class of type lam
-                        patched = {ij: cell for ij, cell in (K.cells | patch).items() if cell}
-                        assert patched == KJ.cells, (b, lam)
+                        c = K.source_classes.index(find_class(K.source_classes, lam))
+                        negated = {key: -a for key, a in K.cells[c, c].items()}
+                        assert dict(KJ.cells) == K.cells | {(c, c): negated}, (b, lam)
+                        assert [ij for ij in K.cells if c in ij] == [(c, c)], (b, lam)
                     swaps += 1
         # every plus/minus pair lies in one block and is swapped there once
         assert swaps == sum(1 for n in range(1, 15) for lam in bar_partitions(n) if sigma(lam) == -1)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_pair_class_holds_only_the_pair(self, p):
+        # what swap_reports rests on: on the class of a pair's type only the pair's
+        # two rows of split_table are nonzero, and they are negatives of each other
+        pairs_seen = 0
+        for n in range(1, 17):
+            for b, members in block_partition(SYM, n, p):
+                pairs = _pairs(members)
+                if not pairs:
+                    continue
+                table = split_table(b)
+                for lam in pairs:
+                    c = table.classes.index(find_class(table.classes, lam))
+                    on_c = [t for t, (j, _) in enumerate(table.columns) if j == c]
+                    values = {x: [row[t] for t in on_c] for x, row in zip(table.row_keys, table.rows)}
+                    plus, minus = (x for x in members if x.lam.parts == lam)
+                    assert {plus.tag, minus.tag} == {PLUS, MINUS}, (b, lam)
+                    assert any(values[plus]) and values[minus] == [-a for a in values[plus]], (b, lam)
+                    assert not any(a for x, v in values.items() if x not in (plus, minus) for a in v), (b, lam)
+                    pairs_seen += 1
+        assert pairs_seen == sum(1 for n in range(1, 17) for lam in bar_partitions(n) if sigma(lam) == -1)
 
     def test_no_swaps_on_the_alternating_cover(self):
         for b, members in block_partition(ALT, 8, 3):
             assert swap_reports(b) == {}
 
-    def test_patch_rejects_non_pairs(self):
-        b = block_n3()
-        K = block_kernel(identity_iso(b), b)
-        for lam in ((3,), (2,)):  # no pair; a pair outside the block
-            with pytest.raises(ValueError):
-                swap_patch(K, b, BarPartition(lam))
-
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_damaged_identity_merges_like_full_kernels(self, p, monkeypatch):
+    def test_damaged_identity_reaches_every_report(self, p, monkeypatch):
         # Every real swap passes, so failures are made on purpose.  The identity
-        # kernel is thinned (den * p) and damaged in two cells: C, off every
-        # patch, becomes 1 (failing both conditions); T, lam's one patched cell,
-        # either takes the patch's own value (A), so that lam's swap kernel is
-        # zero there, or is cleared (B), so that the swap kernel is minus the
-        # patch there.  The damage carries over to every swap kernel unchanged,
-        # so each merged report must equal broue_check of the full swap kernel
-        # plus the damage.
+        # kernel is thinned (den * p) and two of its cells are set to 1 over that
+        # denominator: C, pairing the regular class of type 1^n with a p-singular
+        # class off every pair's type, fails both conditions; (c, c), at the class
+        # of lam's type, fails condition (i).  Every swap report must be the damaged
+        # kernel's, with both damaged cells among its failures.
         cases = 0
-        for n in range(p, 11):
+        one = {(1, 0): 1}
+        for n in range(p, 13):
             for b, members in block_partition(SYM, n, p):
                 pairs = _pairs(members)
                 if not pairs:
                     continue
                 K = block_kernel(identity_iso(b), b)
                 classes = K.source_classes
-                full = {lam: block_kernel(swap_J(b, BarPartition(lam)), b) for lam in pairs}
                 i = classes.index(find_class(classes, (1,) * n))
                 js = [j for j, y in enumerate(classes) if not y.is_regular(p) and y.pi not in pairs]
                 if not js:
                     continue
                 C = (i, js[0])
-                for lam, KJ in full.items():
-                    # conj(delta) x delta, from the two full kernels
-                    P = _add(K.cells, {ij: _minus({}, cell) for ij, cell in KJ.cells.items()})
-                    (T,) = P
-                    for cleared in (False, True):
-                        damage = {  # new value minus old
-                            C: _minus({(1, 0): 1}, K.cells.get(C, {})),
-                            T: _minus({} if cleared else P[T], K.cells.get(T, {})),
-                        }
-                        D = Kernel(classes, classes, _add(K.cells, damage), K.den * p)
-                        with monkeypatch.context() as m:
-                            m.setattr(isometry, "block_kernel", lambda iso, block, D=D: D)
-                            got = swap_reports(b)
-                        want = {
-                            mu: broue_check(Kernel(classes, classes, _add(KJ2.cells, damage), K.den * p), p)
-                            for mu, KJ2 in full.items()
-                        }
-                        assert got == want, (b, lam)
-                        # the merge is exercised: a failure of the identity cleared by the
-                        # patch (A), one the patch makes (B), one carried through (C)
-                        x, y = classes[T[0]], classes[T[1]]
-                        assert ((x, y) in broue_check(D, p).integrality_failures) != cleared
-                        assert ((x, y) in got[lam].integrality_failures) == cleared
-                        assert (classes[C[0]], classes[C[1]]) in got[lam].support_failures
-                        cases += 1
-        assert cases >= 20
+                for lam in pairs:
+                    c = classes.index(find_class(classes, lam))
+                    D = Kernel(classes, classes, K.cells | {C: one, (c, c): one}, K.den * p)
+                    with monkeypatch.context() as m:
+                        m.setattr(isometry, "block_kernel", lambda iso, block, D=D: D)
+                        got = swap_reports(b)
+                    assert got == dict.fromkeys(pairs, broue_check(D, p)), (b, lam)
+                    assert (classes[c], classes[c]) in got[lam].integrality_failures, (b, lam)
+                    x, y = classes[C[0]], classes[C[1]]
+                    assert (x, y) in got[lam].integrality_failures, (b, lam)
+                    assert (x, y) in got[lam].support_failures, (b, lam)
+                    cases += 1
+        assert cases >= 25
 
 
 def _failed(kind: str, report) -> set:
