@@ -379,7 +379,8 @@ def run(argv=None) -> int:
         "results": results,
     }
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        # the payload is built fresh here and holds no cycle, so the cycle check buys nothing
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False))
     else:
         print(_render_table(args.command, results))
     return status

@@ -140,28 +140,50 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     The transform comes along by augmenting: the HNF of [C | I] is [H | U]
     with U unimodular and H = U * C, and its rows whose C part is zero span
     the integral relations between the rows of C.
+
+    Pivot rule: each column is cleared below the pivot position in rounds,
+    until one nonzero entry is left.  In each round the row with the least
+    nonzero |entry| moves up to the pivot position, and every row below
+    subtracts its floor quotient times that row, leaving an entry smaller
+    than the pivot (Cohen, *A Course in Computational Algebraic Number
+    Theory*, §2.4).  All rows are reduced against one small pivot, so the
+    entries stay small.  Taking the first nonzero row as pivot and running
+    a Euclid of it against each row in turn instead chains the quotients
+    of one Euclid into the next: on the principal block of sym n=30 p=5
+    ([C | I] of 65 rows and 200 columns) the entries reached 165,719 bits
+    and the HNF took 30 to 50 s, against at most 152 bits and 0.1 s here.
+    The pivot rule changes no result: the pivots are made positive and
+    the entries above each pivot are reduced to [0, pivot), and that
+    reduced form is unique for the lattice the rows span.
     """
     mat = [list(r) for r in rows]
     k = len(mat)
     m = len(mat[0]) if mat else 0
     r = 0
     for col in range(m):
-        piv = next((i for i in range(r, k) if mat[i][col]), None)
-        if piv is None:
+        live = [i for i in range(r, k) if mat[i][col]]
+        if not live:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        # rows r..k-1, mat[r] among them, are zero left of col: every update starts at col
-        for i in range(r + 1, k):
-            while mat[i][col]:
-                q = mat[r][col] // mat[i][col]
-                mat[r][col:] = [a - q * b for a, b in zip(mat[r][col:], mat[i][col:])]
-                mat[r], mat[i] = mat[i], mat[r]
+        # rows r..k-1 are zero left of col: every update starts at col
+        while live:
+            piv = min(live, key=lambda i: abs(mat[i][col]))
+            mat[r], mat[piv] = mat[piv], mat[r]
+            pivot_row = mat[r][col:]
+            pivot = pivot_row[0]
+            # after the swap, the old pivot row (if any) sits at piv
+            live = [i for i in live if i != r and mat[i][col]]
+            for i in live:
+                q = mat[i][col] // pivot
+                mat[i][col:] = [a - q * b for a, b in zip(mat[i][col:], pivot_row)]
+            live = [i for i in live if mat[i][col]]
         if mat[r][col] < 0:
             mat[r][col:] = [-a for a in mat[r][col:]]
+        pivot_row = mat[r][col:]
+        pivot = pivot_row[0]
         for i in range(r):
-            q = mat[i][col] // mat[r][col]
+            q = mat[i][col] // pivot
             if q:
-                mat[i][col:] = [a - q * b for a, b in zip(mat[i][col:], mat[r][col:])]
+                mat[i][col:] = [a - q * b for a, b in zip(mat[i][col:], pivot_row)]
         r += 1
         if r == k:
             break
@@ -209,11 +231,15 @@ def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block: BlockId | N
         rank = sum(1 for row in H if any(row[:m]))
         ok = rank == k
         chosen = set(candidate_keys)
+        # equal rows have equal coordinates: each distinct row is solved once
+        solved = {}
         for key in row_keys:
             if key in chosen:
                 continue
-            coords = integral_coordinates(by_key[key], H, m)
-            coordinates[key] = coords
+            row = tuple(by_key[key])
+            if row not in solved:
+                solved[row] = integral_coordinates(row, H, m)
+            coords = coordinates[key] = solved[row]
             if coords is None:
                 ok = False
     # on a pass the k candidate rows are independent and every other row is

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbars.algnum import AlgNum, I, ONE
 from spinbars.barcomb import BarPartition
@@ -21,7 +23,13 @@ from spinbars.zverify import (
 )
 from spinbars import zverify
 from spinbars.isometry import split_value_matrix
-from oracles import block_members_by_scan, bounded_combination, dense_integer_expansion, z_span_by_transform
+from oracles import (
+    _hnf_with_transform,
+    block_members_by_scan,
+    bounded_combination,
+    dense_integer_expansion,
+    z_span_by_transform,
+)
 
 
 def num(x):
@@ -68,6 +76,49 @@ class TestHnf:
     def test_rank_and_zero_rows(self):
         assert hnf([[1, 2], [2, 4]]) == [[1, 2]]
         assert hnf([[0, 0], [0, 0]]) == []
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices with zero entries and columns, negative entries and dependent rows."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**6), 10**6))
+    rows = [[draw(entries) for _ in range(m)] for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m)])
+    return draw(st.permutations(rows))
+
+
+def augmented(rows):
+    """[C | I]: the candidate rows with the identity beside them, as ``_z_span`` builds it."""
+    return [list(row) + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+
+
+class TestHnfAgainstTheFirstNonzeroPivot:
+    """The least-|entry| pivot gives the H of the first-nonzero pivot rule of the oracle: the reduced HNF is unique."""
+
+    @given(integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices(self, rows):
+        assert hnf(rows) == _hnf_with_transform(rows)[0]
+        assert hnf(augmented(rows)) == _hnf_with_transform(augmented(rows))[0]
+
+    def test_augmented_candidate_rows_of_every_small_block(self):
+        blocks = 0
+        for group in (SYM, ALT):
+            for p in (3, 5, 7):
+                for n in range(1, 17):
+                    for b, _ in block_partition(group, n, p):
+                        table = block_table(b)
+                        rows = augmented([table.rows[table.row_keys.index(x)] for x in basic_set(b)])
+                        assert hnf(rows) == _hnf_with_transform(rows)[0], b
+                        blocks += 1
+        assert blocks == 284
 
 
 def make_matrix(rows):
@@ -195,6 +246,14 @@ class TestVerifyBasicSet:
         rep = verify_basic_set(b)
         assert rep.verdict and rep.rank_full == 4
         assert all(coords == (-1, -1, 1, 1) for coords in rep.coordinates.values())
+
+    def test_sym_n30_p5_principal_block(self):
+        # 236 labels over 135 integer columns: the first-nonzero pivot took
+        # 30 to 50 s on the HNF of its [C | I]
+        rep = verify_basic_set(BlockId(SYM, 5, BarPartition(()), 6))
+        assert rep.verdict
+        assert rep.rank_candidate == rep.rank_full == 65
+        assert len(rep.coordinates) == 236 - 65
 
     def test_p11_blocks(self):
         for group in (SYM, ALT):
@@ -402,6 +461,37 @@ class TestFaultInjection:
                     assert all(sum(c * row[j] for c, row in zip(coords, C)) == t for j, t in enumerate(target)), b
                     solved += 1
         assert solved > 0
+
+    def test_perturbing_one_of_two_equal_targets(self, monkeypatch):
+        # equal rows share one integral_coordinates call: a perturbed twin must get its own
+        rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 0]]
+        m = make_matrix([[num(v) for v in row] for row in rows])
+        assert z_span_equal(("r0", "r1"), m).coordinates == {"r2": (1, 1), "r3": (1, 1)}
+        rows[3][2] += 1
+        m = make_matrix([[num(v) for v in row] for row in rows])
+        assert z_span_equal(("r0", "r1"), m).coordinates == {"r2": (1, 1), "r3": None}
+        perturbed_twins = 0
+        for b in small_blocks(1):
+            table = block_table(b)
+            rep = verify_basic_set(b)
+            twins = {}
+            for key, row in zip(table.row_keys, table.rows):
+                if key in rep.coordinates:
+                    twins.setdefault(row, []).append(key)
+            keys = next((keys for keys in twins.values() if len(keys) > 1), None)
+            if keys is None:
+                continue
+            faulted = perturbed(table, keys[-1], 0, 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(zverify, "block_table", lambda _: faulted)
+                bad = verify_basic_set(b)
+            # only the perturbed row's coordinates move, to what the transform oracle finds
+            _, expected, _, _ = z_span_by_transform(basic_set(b), faulted.row_keys, faulted.rows)
+            assert bad.coordinates == expected == {**rep.coordinates, keys[-1]: expected[keys[-1]]}, b
+            if expected[keys[-1]] is None:
+                assert not bad.verdict, b
+                perturbed_twins += 1
+        assert perturbed_twins == 22
 
     def test_counts_prints_the_full_rank_of_a_fail(self, capsys, monkeypatch):
         from spinbars import cli
