@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
 
 from . import zverify
 from .barcomb import P_BOUND, BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
@@ -98,8 +97,7 @@ _ZERO_CELL = {"re": [], "im": []}
 
 
 def _values_json(table: zverify.IntegerTable) -> list[list[dict]]:
-    """Each row's values in AlgNum.to_json form, rendered from the integer table."""
-    den = table.den
+    """Each row's values in AlgNum.to_json form: the table holds twice each value, a/2 in lowest terms."""
     width = len(table.classes)
     out = []
     for row in table.rows:
@@ -109,15 +107,14 @@ def _values_json(table: zverify.IntegerTable) -> list[list[dict]]:
                 cell = cells[j]
                 if cell is _ZERO_CELL:
                     cell = cells[j] = {"re": [], "im": []}
-                g = gcd(a, den)
-                cell["im" if e else "re"].append([a // g, den // g, d])
+                cell["im" if e else "re"].append([a, 2, d] if a % 2 else [a // 2, 1, d])
         out.append(cells)
     return out
 
 
 def _verify_one(b: BlockId) -> dict:
-    table = zverify.block_table(b)
     report = zverify.verify_basic_set(b)
+    table = report.table
     entry = _block_json(b)
     entry["verdict"] = "pass" if report.verdict else "fail"
     entry["basic_set"] = [_label_json(x) for x in report.candidates]
@@ -201,19 +198,19 @@ def _cmd_selftest(args) -> tuple[list, int]:
     b = BlockId("sym", 3, BarPartition(()), 1)
 
     def micro():
-        table = zverify.block_table(b)  # the table verify decides on
+        report = zverify.verify_basic_set(b)
+        table = report.table  # the table verify decided on
         idx = {c.pi: i for i, c in enumerate(table.classes)}
         rows = {x.lam.parts + (x.tag,): r for x, r in zip(table.row_keys, table.rows)}
 
-        def value(label, pi):  # {(d, e): den * coefficient of sqrt(d) * i^e}
+        def value(label, pi):  # {(d, e): twice the coefficient of sqrt(d) * i^e}
             return {unit: a for (j, unit), a in zip(table.columns, rows[label]) if j == idx[pi] and a}
 
-        den = table.den
         return (
-            value((3, "self"), (1, 1, 1)) == {(1, 0): 2 * den}
-            and value((2, 1, "plus"), (2, 1)) == {(1, 1): den}
-            and value((2, 1, "minus"), (2, 1)) == {(1, 1): -den}
-            and zverify.verify_basic_set(b).verdict
+            value((3, "self"), (1, 1, 1)) == {(1, 0): 4}
+            and value((2, 1, "plus"), (2, 1)) == {(1, 1): 2}
+            and value((2, 1, "minus"), (2, 1)) == {(1, 1): -2}
+            and report.verdict
         )
 
     check("worked-micro-instance", micro)
@@ -364,8 +361,6 @@ def run(argv=None) -> int:
             parser.error("--n must be non-negative")
     try:
         results, status = COMMANDS[args.command](args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         parser.error(str(exc))
     payload = {

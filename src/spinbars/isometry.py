@@ -10,10 +10,10 @@ composition weights classes by their sizes.  A split class x stands for x
 and zx: mu(zx, y) = mu(x, zy) = -mu(x, y), and zx has x's centralizer order
 and p-regularity, so Broué's conditions on x's cells decide zx's.  Kernels
 are computed on the block's integer value table (``zverify.split_table``:
-integer coefficients over the units sqrt(d) * i^e, one shared
-denominator), and a ``Kernel`` keeps them that way: integer cell sums over
-one denominator, nonzero cells only.  AlgNum appears only in
-``Kernel.value``, ``Kernel.table``, ``Kernel.from_table`` and
+twice each value's coefficients over the units sqrt(d) * i^e), and a
+``Kernel`` keeps them that way: integer cell sums over one denominator
+(4 for a kernel of two such tables), nonzero cells only.  AlgNum appears
+only in ``Kernel.value``, ``Kernel.table``, ``Kernel.from_table`` and
 ``compose_kernel``, for API callers and the oracles.  Broué's integrality
 condition (i) compares integer valuations at p of each stored cell and of
 the centralizer orders; his separation condition (ii) is the kernel's
@@ -215,7 +215,7 @@ def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> 
                 cell[key] = cell.get(key, 0) + c * total
     # drop the cancelled coefficients, and the cells left empty
     cells = {ij: kept for ij, cell in cells.items() if (kept := {key: a for key, a in cell.items() if a})}
-    return Kernel(source.classes, target.classes, cells, source.den * target.den)
+    return Kernel(source.classes, target.classes, cells, 4)  # both tables hold twice each value
 
 
 def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:

@@ -197,9 +197,10 @@ def _bits(parts: tuple[int, ...]) -> int:
 
 
 # One column per odd-type class suffix: 311 for the block tables of sym and alt
-# n=25 p=11, 627 for those of sym n=35 p=5, 1,564 for those of sym n=40 p=7,
-# and 2,671 for every odd-type class of n=40 (the split tables)
-@lru_cache(maxsize=1 << 12)
+# n=25 p=11, 627 / 1,564 (about 50 MiB) / 4,571 for sym n=35 p=5 / n=40 p=7 /
+# n=50 p=7, and 2,671 / 4,884 / 8,670 for the split tables of n=40 / 45 / 50.
+# Columns are read in order, so a bound below the need makes nearly every read miss
+@lru_cache(maxsize=1 << 14)
 def _odd_column(pi: tuple[int, ...]) -> dict[int, int]:
     """{bit set of strict lam: common value of the lam character(s) on odd type pi}, nonzero only.
 

@@ -1,18 +1,19 @@
 """Block value tables and exact Z-span verification of basic sets.
 
-Every character value is a sum of integer multiples of the Q-linearly
-independent units sqrt(d)*i^e over one shared denominator (1 or 2), so a
-block's value table is built as integers straight from the value rule,
-``spinchar.half_columns``, one class column at a time.  A split class x stands
-for its central translate zx, where every value is the exact negative, so
-any integral relation and any kernel condition transfers and the tables
-carry x alone.  ``block_table`` covers the block's p-regular split classes
-for the Z-span decision; ``split_table`` covers every split class, for the
-kernels and the perfectness check in ``isometry``.
-``AlgNum`` appears only at the API and JSON boundary
-(``restricted_matrix``, ``integer_expansion`` and ``z_span_equal`` take
-and give exact values).  Every question about the table is then one
-about integer matrices, handled by a fraction-free Hermite normal form.
+Every character value is a sum of half-integer multiples of the Q-linearly
+independent units sqrt(d)*i^e, so a block's value table holds twice each
+value, as the value rule ``spinchar.half_columns`` gives it, one class
+column at a time.  A split class x stands for its central translate zx,
+where every value is the exact negative, so any integral relation and any
+kernel condition transfers and the tables carry x alone.  ``block_table``
+covers the block's p-regular split classes for the Z-span decision, and the
+report of ``verify_basic_set`` carries it; ``split_table`` covers every
+split class, for the kernels and the perfectness check in ``isometry``.
+Neither is cached: each call builds the table.  ``AlgNum`` appears only at
+the API and JSON boundary (``restricted_matrix``, ``integer_expansion`` and
+``z_span_equal`` take and give exact values).  Every question about the
+table is then one about integer matrices, handled by a fraction-free
+Hermite normal form.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ class VerificationReport:
     coefficients expressing it in the candidate rows, or to None when no
     integral expression exists.  The verdict is pass exactly when all
     coordinates are integral and the candidate rows are Z-independent.
+    ``table``, the integer table the decision ran on, makes the report a
+    certificate; ``block`` and ``table`` are None from ``z_span_equal``.
     """
 
     block: BlockId | None
+    table: IntegerTable | None
     candidates: tuple
     verdict: bool
     coordinates: dict
@@ -62,9 +66,10 @@ class IntegerTable(NamedTuple):
 
     ``columns`` lists (class index, (d, e)) pairs in sorted order, only those
     nonzero in some row; the value of row r on class j is the sum over its
-    columns (j, (d, e)) of rows[r][t] / den * sqrt(d) * i^e.  Numbers and
-    layout are those of ``integer_expansion`` on the exact values of the
-    same rows and classes.
+    columns (j, (d, e)) of rows[r][t] / 2 * sqrt(d) * i^e: the rows hold
+    twice each value, the integers the value rule gives.  The layout is
+    that of ``integer_expansion`` on the exact values of the same rows and
+    classes, and the numbers are twice its rows over its denominator.
     A named tuple rather than a frozen dataclass: the class is created
     when the CLI starts, and a frozen dataclass takes ten times as long.
     """
@@ -73,7 +78,6 @@ class IntegerTable(NamedTuple):
     classes: tuple
     rows: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, tuple[int, int]], ...]
-    den: int
 
 
 # the same for every block of one (group, n, p): filtered once, not once per block
@@ -97,23 +101,15 @@ def _integer_table(row_keys: tuple, classes: tuple) -> IntegerTable:
         for unit, vector in sorted(half_columns(row_keys, c).items()):
             columns.append((j, unit))
             vectors.append(vector)
-    # the rule gives twice each coefficient: den is 2 when one of them is odd
-    den = 2 if any(h % 2 for vector in vectors for h in vector) else 1
-    if den == 1:
-        vectors = [[h // 2 for h in vector] for vector in vectors]
     rows = tuple(zip(*vectors)) if vectors else tuple(() for _ in row_keys)
-    return IntegerTable(row_keys, classes, rows, tuple(columns), den)
+    return IntegerTable(row_keys, classes, rows, tuple(columns))
 
 
-# one table per block; a verify run reads each block's table twice in a row
-@lru_cache(maxsize=8)
 def block_table(block: BlockId) -> IntegerTable:
     """The block's integer value table over its p-regular split classes."""
     return _integer_table(block_members(block), _regular_classes(block.group, block.n, block.p))
 
 
-# one table per block, read by each of its kernels and perfectness checks
-@lru_cache(maxsize=8)
 def split_table(block: BlockId) -> IntegerTable:
     """The block's integer value table over every split class."""
     return _integer_table(block_members(block), split_classes(block.n, group=block.group))
@@ -216,8 +212,16 @@ def integral_coordinates(target: list[int], H: list[list[int]], m: int):
     return tuple(-a for a in residual[m:])
 
 
-def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block: BlockId | None) -> VerificationReport:
-    """The Z-span decision on integer rows, one per row key."""
+def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block, table) -> VerificationReport:
+    """The Z-span decision on integer rows, one per row key, at any one scale of the values.
+
+    Scaling C by s > 0 sends the reduced HNF [H | U] of [C | I] to [sH | U]:
+    the row operations are the same, the pivots keep their positions, and
+    each entry above a C-part pivot stays in [0, pivot).  So
+    ``integral_coordinates`` meets the same quotients and divisibility, and
+    the verdict, the coordinates (even of dependent candidates on a fail)
+    and both ranks are those of the rows at any other scale.
+    """
     by_key = dict(zip(row_keys, int_rows))
     k = len(candidate_keys)
     coordinates = {}
@@ -245,7 +249,7 @@ def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block: BlockId | N
     # on a pass the k candidate rows are independent and every other row is
     # an integral combination of them, so the full rank is k
     rank_full = k if ok else len(hnf(int_rows))
-    return VerificationReport(block, candidate_keys, ok, coordinates, rank_full, rank)
+    return VerificationReport(block, table, candidate_keys, ok, coordinates, rank_full, rank)
 
 
 def z_span_equal(candidate_keys, matrix: ValueMatrix, block: BlockId | None = None) -> VerificationReport:
@@ -254,14 +258,13 @@ def z_span_equal(candidate_keys, matrix: ValueMatrix, block: BlockId | None = No
     for key in candidate_keys:
         if key not in matrix.row_keys:
             raise ValueError(f"candidate row {key} not among the matrix rows")
-    int_rows, _, _ = integer_expansion(matrix)
-    return _z_span(candidate_keys, matrix.row_keys, int_rows, block)
+    return _z_span(candidate_keys, matrix.row_keys, integer_expansion(matrix)[0], block, None)
 
 
 def verify_basic_set(block: BlockId) -> VerificationReport:
     """Check that the empty-strict-component labels are a Z-basis of the block span."""
     table = block_table(block)
-    return _z_span(basic_set(block), table.row_keys, table.rows, block)
+    return _z_span(basic_set(block), table.row_keys, table.rows, block, table)
 
 
 def int_valuation(m: int, p: int) -> int:

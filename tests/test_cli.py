@@ -247,7 +247,7 @@ class TestContract:
         def sabotaged(block):
             rep = real(block)
             return zverify.VerificationReport(
-                rep.block, rep.candidates, False, rep.coordinates, rep.rank_full, rep.rank_candidate
+                rep.block, rep.table, rep.candidates, False, rep.coordinates, rep.rank_full, rep.rank_candidate
             )
 
         monkeypatch.setattr(zverify, "verify_basic_set", sabotaged)
@@ -265,13 +265,31 @@ class TestContract:
 
         for module in (spinchar, zverify, isometry):
             monkeypatch.setattr(module, "char_value", boom)
-        zverify.block_table.cache_clear()  # tables must be built under the patch
-        zverify.split_table.cache_clear()
         for group in ("sym", "alt"):
             for verb in ("verify", "counts", "isometry"):
                 status, out = run_cli(capsys, verb, "--group", group, "--n", "9", "--p", "3")
                 assert status == 0
                 validate(json.loads(out))
+
+    def test_verify_builds_each_table_once(self, capsys, monkeypatch):
+        # the report carries the table it decided on, and the CLI renders that one
+        from spinbars import zverify
+        from spinbars.blocks import block_partition
+
+        real = zverify._integer_table
+        built = []
+
+        def counted(row_keys, classes):
+            built.append(row_keys)
+            return real(row_keys, classes)
+
+        monkeypatch.setattr(zverify, "_integer_table", counted)
+        for group in ("sym", "alt"):
+            built.clear()
+            status, out = run_cli(capsys, "verify", "--group", group, "--n", "9", "--p", "3")
+            assert status == 0
+            validate(json.loads(out))
+            assert built == [members for _, members in block_partition(group, 9, 3)]
 
     def test_byte_identical_reruns(self, capsys, monkeypatch):
         args = ["verify", "--group", "alt", "--n", "6", "--p", "3"]

@@ -250,6 +250,15 @@ class TestOddColumns:
         for pi in odd_partitions(12):
             assert all(_odd_column(pi).values()), pi
 
+    def test_cache_holds_every_suffix_at_n50(self):
+        # a table reads its columns in order, so a cache smaller than the number of
+        # distinct suffixes would miss on nearly every read; n = 50 needs 8,670
+        from spinbars.spinchar import _odd_column
+
+        suffixes = {pi[k:] for pi in odd_partitions(50) for k in range(len(pi) + 1)}
+        assert len(suffixes) == 8670
+        assert len(suffixes) <= _odd_column.cache_info().maxsize
+
 
 class TestValueColumns:
     @pytest.mark.parametrize("group", [SYM, ALT])

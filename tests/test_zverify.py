@@ -121,6 +121,27 @@ class TestHnfAgainstTheFirstNonzeroPivot:
         assert blocks == 284
 
 
+class TestScaleInvariance:
+    """The Z-span decision does not see the scale of its rows: ``block_table`` holds twice each value."""
+
+    @given(integer_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_doubling_the_rows(self, rows, data):
+        # the leading rows are the candidates, dependent ones among them; the rest are targets
+        k = data.draw(st.integers(1, len(rows)))
+        keys = tuple(range(len(rows)))
+        doubled = [[2 * a for a in row] for row in rows]
+        once = zverify._z_span(keys[:k], keys, rows, None, None)
+        twice = zverify._z_span(keys[:k], keys, doubled, None, None)
+        assert (twice.verdict, twice.coordinates, twice.rank_full, twice.rank_candidate) == (
+            once.verdict, once.coordinates, once.rank_full, once.rank_candidate
+        )
+        # hnf([2C | I]) is hnf([C | I]) with its C part doubled
+        m = len(rows[0])
+        H = hnf(augmented(rows[:k]))
+        assert hnf(augmented(doubled[:k])) == [[2 * a for a in h[:m]] + h[m:] for h in H]
+
+
 def make_matrix(rows):
     keys = tuple(f"r{i}" for i in range(len(rows)))
     ncols = len(rows[0])
@@ -284,6 +305,31 @@ class TestVerifyBasicSet:
                 assert z_span_equal(cand, m, b).verdict == z_span_equal(cand, m2, b).verdict
 
 
+class TestCertificate:
+    def test_report_carries_the_table_its_relations_hold_on(self):
+        # the report alone certifies the verdict: its table holds twice each
+        # value, and every relation holds exactly on the table's rows
+        blocks = 0
+        for group in (SYM, ALT):
+            for p in (3, 5, 7):
+                for n in range(1, 17):
+                    for b, _ in block_partition(group, n, p):
+                        rep = verify_basic_set(b)
+                        table = rep.table
+                        m = restricted_matrix(b)
+                        rows, _, den = integer_expansion(m)
+                        assert (table.row_keys, table.classes) == (m.row_keys, m.classes), b
+                        assert [list(r) for r in table.rows] == [[Fraction(2 * a, den) for a in r] for r in rows], b
+                        by_key = dict(zip(table.row_keys, table.rows))
+                        C = [by_key[x] for x in rep.candidates]
+                        assert rep.verdict and len(rep.coordinates) == len(table.rows) - len(C), b
+                        for key, coords in rep.coordinates.items():
+                            combination = tuple(sum(c * a for c, a in zip(coords, col)) for col in zip(*C))
+                            assert combination == by_key[key], (b, key)
+                        blocks += 1
+        assert blocks == 284
+
+
 class TestPIntegrality:
     def test_integral_quotient(self):
         assert p_integrality(num(8), 3, 8)
@@ -360,8 +406,9 @@ class TestOracles:
                         m = restricted_matrix(b)
                         rows, columns, den = integer_expansion(m)
                         assert (table.row_keys, table.classes) == (m.row_keys, m.classes), b
-                        assert ([list(r) for r in table.rows], list(table.columns), table.den) == (rows, columns, den), b
-                        assert table.den in (1, 2)
+                        # the table holds twice each value: twice the rows over den
+                        assert den in (1, 2) and list(table.columns) == columns, b
+                        assert [[den * h for h in r] for r in table.rows] == [[2 * a for a in r] for r in rows], b
                         assert _values_json(table) == [[v.to_json() for v in row] for row in m.entries], b
                         if n <= 12:
                             # every split class: the isometry table
@@ -369,7 +416,8 @@ class TestOracles:
                             values = split_value_matrix(b)
                             rows, columns, den = integer_expansion(values)
                             assert (whole.row_keys, whole.classes) == (values.row_keys, values.classes), b
-                            assert ([list(r) for r in whole.rows], list(whole.columns), whole.den) == (rows, columns, den), b
+                            assert den in (1, 2) and list(whole.columns) == columns, b
+                            assert [[den * h for h in r] for r in whole.rows] == [[2 * a for a in r] for r in rows], b
                         blocks += 1
         assert blocks == 388
 
@@ -491,7 +539,7 @@ class TestFaultInjection:
             if expected[keys[-1]] is None:
                 assert not bad.verdict, b
                 perturbed_twins += 1
-        assert perturbed_twins == 22
+        assert perturbed_twins == 23
 
     def test_counts_prints_the_full_rank_of_a_fail(self, capsys, monkeypatch):
         from spinbars import cli
