@@ -8,7 +8,7 @@ import sys
 
 from . import zverify
 from .barcomb import P_BOUND, BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
-from .blocks import BlockId, basic_set, block_partition, brauer_count, local_side
+from .blocks import BlockId, basic_set, block_members, block_partition, brauer_count, local_side
 from .isometry import basic_set_transport, iso_I, swap_reports
 from .spinchar import MARKS, SpinLabel
 
@@ -48,14 +48,20 @@ def _parse_core(text: str) -> BarPartition:
         ) from None
 
 
-def _select_blocks(args) -> list[tuple[BlockId, tuple[SpinLabel, ...]]]:
+def _select_blocks(args) -> list[BlockId]:
     found = block_partition(args.group, args.n, args.p)
-    if args.core is None:
-        return found
-    chosen = [(b, mem) for b, mem in found if b.core == args.core]
-    if not chosen:
+    chosen = [b for b, _ in found if args.core is None or b.core == args.core]
+    if not chosen:  # every n >= 1 has a block, so only a --core can select none
         raise ValueError(f"no spin block of n={args.n}, p={args.p} has core {args.core.parts}")
     return chosen
+
+
+def _fmt_parts(parts) -> str:
+    return "(" + ",".join(str(a) for a in parts) + ")"
+
+
+def _fmt_label(label: dict) -> str:
+    return _fmt_parts(label["partition"]) + MARKS[label["tag"]]
 
 
 def _cmd_cores(args) -> tuple[list, int]:
@@ -74,22 +80,34 @@ def _cmd_cores(args) -> tuple[list, int]:
     return results, 0
 
 
-def _cmd_blocks(args) -> tuple[list, int]:
-    results = []
-    for b, members in _select_blocks(args):
-        entry = _block_json(b)
-        entry["labels"] = [_label_json(x) for x in members]
-        results.append(entry)
-    return results, 0
+def _cores_lines(r: dict) -> list[str]:
+    comps = " ".join(_fmt_parts(c) for c in r["quotient"]["components"])
+    return [
+        f"{_fmt_parts(r['partition'])} sign={r['sign']:+d} core={_fmt_parts(r['core'])} "
+        f"w={r['weight']} lambda0={_fmt_parts(r['quotient']['lambda0'])} components={comps}"
+    ]
 
 
-def _cmd_basic_set(args) -> tuple[list, int]:
-    results = []
-    for b, _ in _select_blocks(args):
-        entry = _block_json(b)
-        entry["basic_set"] = [_label_json(x) for x in basic_set(b)]
-        results.append(entry)
-    return results, 0
+def _blocks(b: BlockId) -> dict:
+    return {"labels": [_label_json(x) for x in block_members(b)]}
+
+
+def _blocks_lines(r: dict) -> list[str]:
+    tagline = "defect-zero" if r["defect_zero"] else f"w={r['weight']}"
+    labels = " ".join(_fmt_label(x) for x in r["labels"])
+    return [
+        f"core={_fmt_parts(r['core'])} {tagline} sign={r['sign']:+d} "
+        f"characters={len(r['labels'])}: {labels}"
+    ]
+
+
+def _basic_set(b: BlockId) -> dict:
+    return {"basic_set": [_label_json(x) for x in basic_set(b)]}
+
+
+def _basic_set_lines(r: dict) -> list[str]:
+    labels = " ".join(_fmt_label(x) for x in r["basic_set"])
+    return [f"core={_fmt_parts(r['core'])} w={r['weight']} basic-set: {labels}"]
 
 
 # every zero cell of a rendered matrix is this one dict; it is never mutated
@@ -112,77 +130,100 @@ def _values_json(table: zverify.IntegerTable) -> list[list[dict]]:
     return out
 
 
-def _verify_one(b: BlockId) -> dict:
+def _verify(b: BlockId) -> dict:
     report = zverify.verify_basic_set(b)
     table = report.table
-    entry = _block_json(b)
-    entry["verdict"] = "pass" if report.verdict else "fail"
-    entry["basic_set"] = [_label_json(x) for x in report.candidates]
-    entry["rank"] = report.rank_full
-    entry["relations"] = [
-        {
-            "label": _label_json(x),
-            "coordinates": list(coords) if coords is not None else None,
-        }
-        for x, coords in report.coordinates.items()
-    ]
-    entry["classes"] = [
-        {"type": list(c.pi), "branch": c.branch, "centralizer": c.centralizer_order}
-        for c in table.classes
-    ]
-    entry["matrix"] = [
-        {"label": _label_json(x), "values": values}
-        for x, values in zip(table.row_keys, _values_json(table))
-    ]
-    return entry
+    return {
+        "verdict": "pass" if report.verdict else "fail",
+        "basic_set": [_label_json(x) for x in report.candidates],
+        "rank": report.rank_full,
+        "relations": [
+            {"label": _label_json(x), "coordinates": list(coords) if coords is not None else None}
+            for x, coords in report.coordinates.items()
+        ],
+        "classes": [
+            {"type": list(c.pi), "branch": c.branch, "centralizer": c.centralizer_order}
+            for c in table.classes
+        ],
+        "matrix": [
+            {"label": _label_json(x), "values": values}
+            for x, values in zip(table.row_keys, _values_json(table))
+        ],
+    }
 
 
-def _cmd_verify(args) -> tuple[list, int]:
-    results = [_verify_one(b) for b, _ in _select_blocks(args)]
-    failed = sum(1 for r in results if r["verdict"] != "pass")
-    summary = {"blocks": len(results), "pass": len(results) - failed, "fail": failed}
-    return [{"summary": summary, "blocks": results}], (1 if failed else 0)
+def _verify_lines(r: dict) -> list[str]:
+    """One line per block of the one verify result, then its summary."""
+    lines = []
+    for e in r["blocks"]:
+        rel = "; ".join(f"{_fmt_label(x['label'])} = {x['coordinates']}" for x in e["relations"])
+        basic = " ".join(_fmt_label(x) for x in e["basic_set"])
+        lines.append(
+            f"core={_fmt_parts(e['core'])} w={e['weight']} sign={e['sign']:+d} "
+            f"verdict={e['verdict']} basic-set: {basic}" + (f" relations: {rel}" if rel else "")
+        )
+    s = r["summary"]
+    return lines + [f"summary: {s['pass']} pass, {s['fail']} fail of {s['blocks']}"]
 
 
-def _cmd_counts(args) -> tuple[list, int]:
-    results = []
-    for b, _ in _select_blocks(args):
-        entry = _block_json(b)
-        entry["basic_set_size"] = len(basic_set(b))
-        entry["brauer_count"] = brauer_count(b)
+def _counts(b: BlockId) -> dict:
+    return {
+        "basic_set_size": len(basic_set(b)),
+        "brauer_count": brauer_count(b),
         # k on a pass; the verdict runs the full HNF only on a fail
-        entry["rank"] = zverify.verify_basic_set(b).rank_full
-        results.append(entry)
-    return results, 0
+        "rank": zverify.verify_basic_set(b).rank_full,
+    }
 
 
-def _cmd_isometry(args) -> tuple[list, int]:
-    results = []
-    for b, _ in _select_blocks(args):
-        entry = _block_json(b)
-        if b.weight == 0:
-            entry["isometry"] = None
-        else:
-            iso = iso_I(b)
-            entry["isometry"] = {
-                "side": local_side(b),
-                "basic_transport": basic_set_transport(iso, b),
-                "mapping": [
-                    {
-                        "from": _label_json(s),
-                        "to": {**_quotient_json(t.quotient), "tag": t.tag},
-                        "sign": sign,
-                    }
-                    for s, t, sign in iso.mapping
-                ],
-            }
-        # perfectness is the separation condition (ii) of each swap's report
-        entry["swaps"] = [
-            {"pair": list(lam), "broue": report.passed, "perfect": not report.support_failures}
-            for lam, report in swap_reports(b).items()
+def _counts_lines(r: dict) -> list[str]:
+    return [
+        f"core={_fmt_parts(r['core'])} w={r['weight']} basic={r['basic_set_size']} "
+        f"brauer={r['brauer_count']} rank={r['rank']}"
+    ]
+
+
+def _isometry(b: BlockId) -> dict:
+    iso = None
+    if b.weight:
+        spec = iso_I(b)
+        iso = {
+            "side": local_side(b),
+            "basic_transport": basic_set_transport(spec, b),
+            "mapping": [
+                {"from": _label_json(s), "to": {**_quotient_json(t.quotient), "tag": t.tag}, "sign": sign}
+                for s, t, sign in spec.mapping
+            ],
+        }
+    # perfectness is the separation condition (ii) of each swap's report
+    swaps = [
+        {"pair": list(lam), "broue": report.passed, "perfect": not report.support_failures}
+        for lam, report in swap_reports(b).items()
+    ]
+    return {"isometry": iso, "swaps": swaps}
+
+
+def _isometry_lines(r: dict) -> list[str]:
+    iso = r["isometry"]
+    if iso is None:
+        lines = [f"core={_fmt_parts(r['core'])} defect-zero: no isometry"]
+    else:
+        maps = "; ".join(
+            f"{_fmt_label(m['from'])} -> {m['sign']:+d}*"
+            + _fmt_parts(m["to"]["lambda0"])
+            + "|" + ",".join(_fmt_parts(c) for c in m["to"]["components"])
+            + MARKS[m["to"]["tag"]]
+            for m in iso["mapping"]
+        )
+        lines = [
+            f"core={_fmt_parts(r['core'])} w={r['weight']} side={iso['side']} "
+            f"transport={'ok' if iso['basic_transport'] else 'BROKEN'} {maps}"
         ]
-        results.append(entry)
-    return results, 0
+    for s in r["swaps"]:
+        lines.append(
+            f"  swap {_fmt_parts(s['pair'])}: broue={'pass' if s['broue'] else 'fail'} "
+            f"perfect={'pass' if s['perfect'] else 'fail'}"
+        )
+    return lines
 
 
 def _cmd_selftest(args) -> tuple[list, int]:
@@ -236,93 +277,42 @@ def _cmd_selftest(args) -> tuple[list, int]:
     return checks, (1 if failed else 0)
 
 
+def _selftest_lines(r: dict) -> list[str]:
+    return [f"{'ok  ' if r['ok'] else 'FAIL'} {r['check']}"]
+
+
+# each verb, in the parser's order, with the fields it adds to a selected block's
+# _block_json entry (None for cores and selftest, which select no block) and the
+# table lines of one of its results
 COMMANDS = {
-    "cores": _cmd_cores,
-    "blocks": _cmd_blocks,
-    "basic-set": _cmd_basic_set,
-    "verify": _cmd_verify,
-    "counts": _cmd_counts,
-    "isometry": _cmd_isometry,
-    "selftest": _cmd_selftest,
+    "cores": (None, _cores_lines),
+    "blocks": (_blocks, _blocks_lines),
+    "basic-set": (_basic_set, _basic_set_lines),
+    "verify": (_verify, _verify_lines),
+    "counts": (_counts, _counts_lines),
+    "isometry": (_isometry, _isometry_lines),
+    "selftest": (None, _selftest_lines),
 }
 
 
-def _fmt_parts(parts) -> str:
-    return "(" + ",".join(str(a) for a in parts) + ")"
-
-
-def _fmt_label(label: dict) -> str:
-    return _fmt_parts(label["partition"]) + MARKS[label["tag"]]
+def _results(args) -> tuple[list, int]:
+    """The verb's results and exit status; cores and selftest select no block."""
+    if args.command == "cores":
+        return _cmd_cores(args)
+    if args.command == "selftest":
+        return _cmd_selftest(args)
+    fields, _ = COMMANDS[args.command]
+    results = [{**_block_json(b), **fields(b)} for b in _select_blocks(args)]
+    if args.command != "verify":
+        return results, 0
+    failed = sum(1 for r in results if r["verdict"] != "pass")
+    summary = {"blocks": len(results), "pass": len(results) - failed, "fail": failed}
+    return [{"summary": summary, "blocks": results}], (1 if failed else 0)
 
 
 def _render_table(command: str, results: list) -> str:
-    lines = []
-    if command == "cores":
-        for r in results:
-            comps = " ".join(_fmt_parts(c) for c in r["quotient"]["components"])
-            lines.append(
-                f"{_fmt_parts(r['partition'])} sign={r['sign']:+d} core={_fmt_parts(r['core'])} "
-                f"w={r['weight']} lambda0={_fmt_parts(r['quotient']['lambda0'])} components={comps}"
-            )
-    elif command == "blocks":
-        for r in results:
-            tagline = "defect-zero" if r["defect_zero"] else f"w={r['weight']}"
-            labels = " ".join(_fmt_label(x) for x in r["labels"])
-            lines.append(
-                f"core={_fmt_parts(r['core'])} {tagline} sign={r['sign']:+d} "
-                f"characters={len(r['labels'])}: {labels}"
-            )
-    elif command == "basic-set":
-        for r in results:
-            labels = " ".join(_fmt_label(x) for x in r["basic_set"])
-            lines.append(f"core={_fmt_parts(r['core'])} w={r['weight']} basic-set: {labels}")
-    elif command == "counts":
-        for r in results:
-            lines.append(
-                f"core={_fmt_parts(r['core'])} w={r['weight']} basic={r['basic_set_size']} "
-                f"brauer={r['brauer_count']} rank={r['rank']}"
-            )
-    elif command == "verify":
-        summary = results[0]["summary"]
-        for r in results[0]["blocks"]:
-            rel = "; ".join(
-                f"{_fmt_label(x['label'])} = {x['coordinates']}" for x in r["relations"]
-            )
-            basic = " ".join(_fmt_label(x) for x in r["basic_set"])
-            lines.append(
-                f"core={_fmt_parts(r['core'])} w={r['weight']} sign={r['sign']:+d} "
-                f"verdict={r['verdict']} basic-set: {basic}" + (f" relations: {rel}" if rel else "")
-            )
-        lines.append(f"summary: {summary['pass']} pass, {summary['fail']} fail of {summary['blocks']}")
-    elif command == "isometry":
-        for r in results:
-            if r["isometry"] is None:
-                lines.append(f"core={_fmt_parts(r['core'])} defect-zero: no isometry")
-            else:
-                iso = r["isometry"]
-                maps = "; ".join(
-                    f"{_fmt_label(m['from'])} -> {m['sign']:+d}*"
-                    + _fmt_parts(m["to"]["lambda0"])
-                    + "|" + ",".join(_fmt_parts(c) for c in m["to"]["components"])
-                    + MARKS[m["to"]["tag"]]
-                    for m in iso["mapping"]
-                )
-                lines.append(
-                    f"core={_fmt_parts(r['core'])} w={r['weight']} side={iso['side']} "
-                    f"transport={'ok' if iso['basic_transport'] else 'BROKEN'} {maps}"
-                )
-            for s in r["swaps"]:
-                lines.append(
-                    f"  swap {_fmt_parts(s['pair'])}: broue={'pass' if s['broue'] else 'fail'} "
-                    f"perfect={'pass' if s['perfect'] else 'fail'}"
-                )
-    elif command == "selftest":
-        for r in results:
-            lines.append(f"{'ok  ' if r['ok'] else 'FAIL'} {r['check']}")
-    else:
-        for r in results:
-            lines.append(json.dumps(r, sort_keys=True))
-    return "\n".join(lines)
+    _, lines_of = COMMANDS[command]
+    return "\n".join(line for r in results for line in lines_of(r))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         if verb != "selftest":
             sp.add_argument("--n", type=int, required=(verb != "cores"), default=0)
             sp.add_argument("--p", type=int, required=True)
-            sp.add_argument("--group", choices=["sym", "alt"], default="sym")
-            if verb != "cores":  # cores lists every partition of n, whatever its core
+            if verb != "cores":  # cores lists every partition of n, whatever its group or core
+                sp.add_argument("--group", choices=["sym", "alt"], default="sym")
                 sp.add_argument("--core", type=_parse_core, default=None)
         sp.add_argument("--format", choices=["json", "table"], default="json")
     return parser
@@ -360,7 +350,7 @@ def run(argv=None) -> int:
         if args.n < 0:
             parser.error("--n must be non-negative")
     try:
-        results, status = COMMANDS[args.command](args)
+        results, status = _results(args)
     except ValueError as exc:
         parser.error(str(exc))
     payload = {
@@ -382,6 +372,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # imported here, not at module level: only the console entry point sets a
+    # signal action, and the import costs about 1 ms that callers of run() skip
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes the pipe early ends the run as it ends any filter,
+        # not with a traceback and the status of a failing block
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

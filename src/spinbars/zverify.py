@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .algnum import AlgNum
@@ -49,10 +49,9 @@ class VerificationReport:
     integral expression exists.  The verdict is pass exactly when all
     coordinates are integral and the candidate rows are Z-independent.
     ``table``, the integer table the decision ran on, makes the report a
-    certificate; ``block`` and ``table`` are None from ``z_span_equal``.
+    certificate; it is None from ``z_span_equal``.
     """
 
-    block: BlockId | None
     table: IntegerTable | None
     candidates: tuple
     verdict: bool
@@ -212,7 +211,7 @@ def integral_coordinates(target: list[int], H: list[list[int]], m: int):
     return tuple(-a for a in residual[m:])
 
 
-def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block, table) -> VerificationReport:
+def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> VerificationReport:
     """The Z-span decision on integer rows, one per row key, at any one scale of the values.
 
     Scaling C by s > 0 sends the reduced HNF [H | U] of [C | I] to [sH | U]:
@@ -249,22 +248,22 @@ def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, block, table) -> V
     # on a pass the k candidate rows are independent and every other row is
     # an integral combination of them, so the full rank is k
     rank_full = k if ok else len(hnf(int_rows))
-    return VerificationReport(block, table, candidate_keys, ok, coordinates, rank_full, rank)
+    return VerificationReport(table, candidate_keys, ok, coordinates, rank_full, rank)
 
 
-def z_span_equal(candidate_keys, matrix: ValueMatrix, block: BlockId | None = None) -> VerificationReport:
+def z_span_equal(candidate_keys, matrix: ValueMatrix) -> VerificationReport:
     """Decide whether the candidate rows are a Z-basis of the full row span."""
     candidate_keys = tuple(candidate_keys)
     for key in candidate_keys:
         if key not in matrix.row_keys:
             raise ValueError(f"candidate row {key} not among the matrix rows")
-    return _z_span(candidate_keys, matrix.row_keys, integer_expansion(matrix)[0], block, None)
+    return _z_span(candidate_keys, matrix.row_keys, integer_expansion(matrix)[0], None)
 
 
 def verify_basic_set(block: BlockId) -> VerificationReport:
     """Check that the empty-strict-component labels are a Z-basis of the block span."""
     table = block_table(block)
-    return _z_span(basic_set(block), table.row_keys, table.rows, block, table)
+    return _z_span(basic_set(block), table.row_keys, table.rows, table)
 
 
 def int_valuation(m: int, p: int) -> int:
@@ -276,25 +275,3 @@ def int_valuation(m: int, p: int) -> int:
         m //= p
         v += 1
     return v
-
-
-def p_integrality(v: AlgNum, p: int, denominator: int) -> bool:
-    """Whether v/denominator is integral at p.
-
-    Coefficients over the radical basis must all have non-negative valuation
-    after division; for odd p this is equivalent to membership in the
-    localization at p of the algebraic integers, since the ring-of-integers
-    denominators in multiquadratic fields are powers of 2.  Each coefficient
-    is a reduced fraction, so p divides a numerator only where it does not
-    divide the denominator: the least valuation is that of the gcd of the
-    numerators minus that of the lcm of the denominators.
-    """
-    if denominator <= 0:
-        raise ValueError("denominator must be positive")
-    needed = int_valuation(denominator, p)
-    if v.is_zero():
-        return True
-    coeffs = [c for _, c in v.terms]
-    num = gcd(*(c.numerator for c in coeffs))
-    den = lcm(*(c.denominator for c in coeffs))
-    return int_valuation(num, p) - int_valuation(den, p) >= needed

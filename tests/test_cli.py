@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -20,6 +25,34 @@ SYM_N14_ISOMETRY_SHA256 = {
 SYM_P3_ISOMETRY_SHA256 = {
     16: "e90fd4b8a87d73390e9f81bacbc14ebe0378ec81c4f8c2b21e462376c819aaa4",
     18: "0c3f3cb2ec470e4de402fe3a5fc2d51cd0ba81c671ba460c17e7e02548ce2a4e",
+}
+
+# sha256 of `--format table` stdout, by argv; each verb on both covers at two
+# (n, p), a --core filter, cores and selftest
+TABLE_SHA256 = {
+    "blocks --group sym --n 9 --p 3": "dab42af09111490cd58f63b03b5a6854314209942f7abedf85e3abcf81ae3223",
+    "blocks --group sym --n 11 --p 5": "18fce66782df16ec383fc95b7e7e1d799f517ef59fcc68d9f05957af37bc9a08",
+    "blocks --group alt --n 9 --p 3": "8288d95554c04867f7bad69252bc5bb31e46b601d603295379052542ae488cc6",
+    "blocks --group alt --n 11 --p 5": "5622afa9ebd7af9a8b73790a51917e55bc4eda4f18bb894cf849ce72b799edca",
+    "basic-set --group sym --n 9 --p 3": "ea70d0626a47e7b88da5fc633bca024b11f0aae21a8a86ff2e9c69d4dfa4821a",
+    "basic-set --group sym --n 11 --p 5": "64d3d57168e61813fdb7c3a4a531a46084c4fa9822178c48303f69a0116bb1d5",
+    "basic-set --group alt --n 9 --p 3": "a6d9619eb54b7235228ba3d115752a5fa3ade9676365f5753c84cfa6b428c9ea",
+    "basic-set --group alt --n 11 --p 5": "8d2120f8d3b5e4be42b5663b6a9fcd2b7a00c3251432913ca50a281dbdddf1f2",
+    "verify --group sym --n 9 --p 3": "1f7f89863c803b68c4f97179bb04f01c0a5e9ffc5e5fb7312b4002a13c14468b",
+    "verify --group sym --n 11 --p 5": "c47b52f64d0c12d5b68357cf6354d2c3a0cc290d52cbe23c4d0283175447b042",
+    "verify --group alt --n 9 --p 3": "ec8b8b728d5f101efc156e77a2e59248c34065f0b5dfe4aaaf824bbc2b63101e",
+    "verify --group alt --n 11 --p 5": "fcf2bcc2afc273daf7b7f80530d19ec701d47add32d27de8a9e1da92c57faddb",
+    "counts --group sym --n 9 --p 3": "c1d128b0b8b738d696761697134181da3cca53f84012288278da562164984a99",
+    "counts --group sym --n 11 --p 5": "5511637810adf780a9f2f9e202ea6e7b032cfc6a14d6655eb98eba7f9f3ea03c",
+    "counts --group alt --n 9 --p 3": "8f889b1464d2767bde85cc47678d6b94c2113a69a271c51d11a42011a1a08206",
+    "counts --group alt --n 11 --p 5": "a9e817ea8ac0ba82f770502a044148dd295508d2cbddc0482fccf3c6340a6dd0",
+    "isometry --group sym --n 9 --p 3": "86ad67123c903d7c40ae4da3af3e73598108ca2339c372135903b4535671e20a",
+    "isometry --group sym --n 11 --p 5": "d1edaee04127c8978181bf131cd55521285ac30939793bde4988af89be1a00b5",
+    "isometry --group alt --n 9 --p 3": "7ab1f755548a0deb9663e035ec0408045fcf4f612eb4841a6db2e6596a5379a5",
+    "isometry --group alt --n 11 --p 5": "f5666a1909188ff7b4fb387a3f816120b2a02c9081a3851469081ede8532fa25",
+    "verify --n 5 --p 3 --core 2": "2b59cb1f5853b8d4da26b5d2d93197085363403b3c61f4135445399ec21a885b",
+    "cores --n 6 --p 3": "2f180484c6f001a933b1cd5c19d31d2b35995ab09dfd8ac4fe20dbf0b5f974ff",
+    "selftest": "d7feda279ff74b263c14d420035890ae65cd6028267e2a184bf78b84b9ccae84",
 }
 
 
@@ -137,6 +170,12 @@ class TestVerbs:
             if entry["isometry"] is not None:
                 assert entry["isometry"]["basic_transport"] is True
 
+    @pytest.mark.parametrize("argv", sorted(TABLE_SHA256))
+    def test_table_digest(self, capsys, argv):
+        status, out = run_cli(capsys, *argv.split(), "--format", "table")
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[argv]
+
     def test_selftest(self, capsys):
         status, out = run_cli(capsys, "selftest")
         assert status == 0
@@ -207,13 +246,15 @@ class TestContract:
         assert work[0] == work[1] > 0
 
     def test_cores_rejects_core(self, capsys):
-        # cores lists every bar partition of n, so a core filter would be ignored
-        with pytest.raises(SystemExit) as exc:
-            cli.run(["cores", "--n", "5", "--p", "3", "--core", "2"])
-        assert exc.value.code == 2
-        assert "--core" in capsys.readouterr().err
+        # cores lists every bar partition of n, so a core or group filter would be ignored
+        for option in (["--core", "2"], ["--group", "alt"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["cores", "--n", "5", "--p", "3", *option])
+            assert exc.value.code == 2
+            assert option[0] in capsys.readouterr().err
         status, out = run_cli(capsys, "cores", "--n", "5", "--p", "3")
-        assert status == 0 and json.loads(out)["parameters"]["core"] is None
+        parameters = json.loads(out)["parameters"]
+        assert status == 0 and parameters["core"] is None and parameters["group"] is None
 
     def test_cores_prime_above_bound_exits_2(self, capsys):
         # cores prints all (p - 1)/2 components of each quotient
@@ -237,6 +278,20 @@ class TestContract:
             cli.run(["blocks", "--n", "4", "--p", "3", "--core", "3,1"])
         assert exc.value.code == 2
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_pipe_is_not_a_failing_block(self):
+        # 77 KB of stdout, more than a pipe holds: the write after the reader
+        # closes its end ends the run as it ends any filter, silently
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "spinbars.cli", "verify", "--group", "sym", "--n", "20", "--p", "3"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            status = proc.wait(timeout=60)
+        assert err == b"" and status != 1
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         # force a failing verdict to exercise the exit-code contract; the CLI
         # decides each block through zverify.verify_basic_set
@@ -247,7 +302,7 @@ class TestContract:
         def sabotaged(block):
             rep = real(block)
             return zverify.VerificationReport(
-                rep.block, rep.table, rep.candidates, False, rep.coordinates, rep.rank_full, rep.rank_candidate
+                rep.table, rep.candidates, False, rep.coordinates, rep.rank_full, rep.rank_candidate
             )
 
         monkeypatch.setattr(zverify, "verify_basic_set", sabotaged)

@@ -32,7 +32,7 @@ from spinbars.isometry import (
     swap_reports,
 )
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
-from spinbars.zverify import block_table, p_integrality, restricted_matrix, split_table
+from spinbars.zverify import block_table, restricted_matrix, split_table
 from oracles import (
     ZClass,
     broue_check_by_coefficients,
@@ -286,8 +286,6 @@ class TestBroue:
         # the valuation loop never ends at p = 1 and divides by zero at p = 0
         K = block_kernel(identity_iso(block_n3()), block_n3())
         for p in (1, 0):
-            with pytest.raises(ValueError):
-                p_integrality(num(2), p, 6)
             with pytest.raises(ValueError):
                 broue_check(K, p)
 

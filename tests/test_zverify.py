@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbars.algnum import AlgNum, I, ONE
+from spinbars.algnum import AlgNum, I
 from spinbars.barcomb import BarPartition
 from spinbars.blocks import BlockId, basic_set, block_members, block_partition, brauer_count
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, is_odd_type
@@ -15,7 +15,6 @@ from spinbars.zverify import (
     block_table,
     hnf,
     integer_expansion,
-    p_integrality,
     restricted_matrix,
     split_table,
     verify_basic_set,
@@ -131,8 +130,8 @@ class TestScaleInvariance:
         k = data.draw(st.integers(1, len(rows)))
         keys = tuple(range(len(rows)))
         doubled = [[2 * a for a in row] for row in rows]
-        once = zverify._z_span(keys[:k], keys, rows, None, None)
-        twice = zverify._z_span(keys[:k], keys, doubled, None, None)
+        once = zverify._z_span(keys[:k], keys, rows, None)
+        twice = zverify._z_span(keys[:k], keys, doubled, None)
         assert (twice.verdict, twice.coordinates, twice.rank_full, twice.rank_candidate) == (
             once.verdict, once.coordinates, once.rank_full, once.rank_candidate
         )
@@ -302,7 +301,7 @@ class TestVerifyBasicSet:
                 cand = tuple(
                     x for x in m.row_keys if x in set(basic_set(b))
                 )
-                assert z_span_equal(cand, m, b).verdict == z_span_equal(cand, m2, b).verdict
+                assert z_span_equal(cand, m).verdict == z_span_equal(cand, m2).verdict
 
 
 class TestCertificate:
@@ -328,31 +327,6 @@ class TestCertificate:
                             assert combination == by_key[key], (b, key)
                         blocks += 1
         assert blocks == 284
-
-
-class TestPIntegrality:
-    def test_integral_quotient(self):
-        assert p_integrality(num(8), 3, 8)
-
-    def test_negative_valuation(self):
-        assert not p_integrality(num(2), 3, 6)
-
-    def test_centralizer_case(self):
-        # +-(2 z) against denominator 2 z, the swap-kernel discrepancy pattern
-        for z in (2, 4, 6, 12):
-            assert p_integrality(num(2 * z), 3, 2 * z)
-            assert p_integrality(num(-2 * z), 3, 2 * z)
-
-    def test_radical_coefficients(self):
-        v = num(Fraction(1, 3)) + AlgNum.sqrt_int(2)
-        assert not p_integrality(v, 3, 1)
-        assert p_integrality(v, 5, 1)
-        assert p_integrality(AlgNum.sqrt_int(18), 3, 3)
-        assert not p_integrality(AlgNum.sqrt_int(2), 3, 3)
-
-    def test_invalid_denominator(self):
-        with pytest.raises(ValueError):
-            p_integrality(ONE, 3, 0)
 
 
 class TestIntegerExpansion:
@@ -385,10 +359,10 @@ class TestOracles:
                     for b, members in block_partition(group, n, p):
                         assert members == block_members(b) == block_members_by_scan(b)
                         m = restricted_matrix(b)
-                        sparse = z_span_equal(basic_set(b), m, b)
+                        sparse = z_span_equal(basic_set(b), m)
                         with monkeypatch.context() as patch:
                             patch.setattr(zverify, "integer_expansion", dense_integer_expansion)
-                            dense = z_span_equal(basic_set(b), m, b)
+                            dense = z_span_equal(basic_set(b), m)
                         table = verify_basic_set(b)
                         assert (sparse.verdict, sparse.coordinates, sparse.rank_full, sparse.rank_candidate) == (
                             dense.verdict, dense.coordinates, dense.rank_full, dense.rank_candidate
