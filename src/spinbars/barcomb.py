@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le, lt
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -54,14 +55,16 @@ class Partition:
     """Ordinary partition: weakly decreasing positive parts."""
 
     parts: tuple[int, ...]
+    strict = False  # a class constant, not a field: whether the parts must strictly decrease
 
     def __post_init__(self):
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         if any(a <= 0 for a in parts):
             raise ValueError(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        # a part no larger than (strict) or smaller than (weak) the next one
+        if any(map(le if self.strict else lt, parts, parts[1:])):
+            raise ValueError(f"parts must be {'strictly' if self.strict else 'weakly'} decreasing: {parts}")
 
     @property
     def n(self) -> int:
@@ -72,33 +75,13 @@ class Partition:
         return len(self.parts)
 
     def __repr__(self):
-        return f"Partition{self.parts}"
+        return f"{type(self).__name__}{self.parts}"
 
 
-@dataclass(frozen=True)
-class BarPartition:
-    """Bar partition: strictly decreasing positive parts."""
+class BarPartition(Partition):
+    """Bar partition: strictly decreasing positive parts, never equal to a ``Partition``."""
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(a <= 0 for a in parts):
-            raise ValueError(f"parts must be positive: {parts}")
-        if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be strictly decreasing: {parts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __repr__(self):
-        return f"BarPartition{self.parts}"
+    strict = True
 
 
 _EMPTY = Partition(())
@@ -112,24 +95,19 @@ class BarQuotient:
     strict); the residue pair {i, p-i}, 1 <= i <= (p-1)/2, carries an
     ordinary partition, ``components[i-1]``.  Only the nonempty ones are
     stored, as ``occupied`` pairs (i, partition) with i ascending, so a
-    quotient's size does not grow with p.  The constructor takes all
-    (p - 1)/2 components in order, or a dict {i: partition} of some.
+    quotient's size does not grow with p.  The constructor takes a dict
+    {i: partition} of some pairs; every pair it leaves out is empty.
     """
 
     lambda0: BarPartition
     occupied: tuple[tuple[int, Partition], ...]
     p: int
 
-    def __init__(self, lambda0: BarPartition, components, p: int):
+    def __init__(self, lambda0: BarPartition, components: dict, p: int):
         m = (p - 1) // 2
-        if isinstance(components, dict):
-            items = sorted(components.items())
-            if items and not 1 <= items[0][0] <= items[-1][0] <= m:
-                raise ValueError(f"residue pairs run from 1 to {m}, got {sorted(components)}")
-        elif len(components) == m:
-            items = enumerate(components, 1)
-        else:
-            raise ValueError(f"a {p}-quotient has {m} components, got {len(components)}")
+        items = sorted(components.items())
+        if items and not 1 <= items[0][0] <= items[-1][0] <= m:
+            raise ValueError(f"residue pairs run from 1 to {m}, got {sorted(components)}")
         object.__setattr__(self, "lambda0", lambda0)
         object.__setattr__(self, "occupied", tuple((i, c) for i, c in items if c.parts))
         object.__setattr__(self, "p", p)
@@ -149,9 +127,6 @@ class BarQuotient:
     def sigma(self) -> int:
         """(-1)**(weight - length of the strict component)."""
         return -1 if (self.weight - self.lambda0.length) % 2 else 1
-
-    def is_empty(self) -> bool:
-        return self.weight == 0
 
 
 def bar_partitions(n: int) -> list[BarPartition]:

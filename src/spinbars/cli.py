@@ -194,9 +194,8 @@ def _isometry(b: BlockId) -> dict:
                 for s, t, sign in spec.mapping
             ],
         }
-    # perfectness is the separation condition (ii) of each swap's report
     swaps = [
-        {"pair": list(lam), "broue": report.passed, "perfect": not report.support_failures}
+        {"pair": list(lam), "broue": report.passed, "perfect": report.perfect}
         for lam, report in swap_reports(b).items()
     ]
     return {"isometry": iso, "swaps": swaps}

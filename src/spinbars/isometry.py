@@ -28,7 +28,6 @@ sees a sign, so ``swap_reports`` checks the identity kernel once.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -42,7 +41,7 @@ from .blocks import (
     BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels, local_side,
 )
 from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, split_classes
-from .zverify import IntegerTable, ValueMatrix, int_valuation, split_table
+from .zverify import IntegerTable, ValueMatrix, split_table
 
 
 class UnsupportedTargetError(ValueError):
@@ -51,17 +50,14 @@ class UnsupportedTargetError(ValueError):
 
 @dataclass(frozen=True)
 class IsometrySpec:
-    """A signed bijection between two label sets."""
+    """A signed bijection between two label sets: triples (source label, target label, sign)."""
 
-    source: tuple
-    target: tuple
-    mapping: tuple  # triples (source label, target label, sign)
+    mapping: tuple
 
     def __post_init__(self):
-        srcs = Counter(s for s, _, _ in self.mapping)
-        tgts = Counter(t for _, t, _ in self.mapping)
-        if srcs != Counter(self.source) or tgts != Counter(self.target):
-            raise ValueError("mapping is not a bijection between source and target")
+        size = len(self.mapping)
+        if len({s for s, _, _ in self.mapping}) != size or len({t for _, t, _ in self.mapping}) != size:
+            raise ValueError("mapping is not a bijection: a label appears twice as a source or a target")
         if any(sign not in (1, -1) for _, _, sign in self.mapping):
             raise ValueError("every sign of a signed bijection is 1 or -1")
 
@@ -72,21 +68,22 @@ class IsometrySpec:
         raise KeyError(x)
 
     def inverse(self) -> IsometrySpec:
-        return IsometrySpec(self.target, self.source, tuple((t, s, sign) for s, t, sign in self.mapping))
+        return IsometrySpec(tuple((t, s, sign) for s, t, sign in self.mapping))
 
     def compose(self, other: IsometrySpec) -> IsometrySpec:
-        """other after self (source of other = target of self)."""
+        """other after self; other's sources must be self's targets."""
         images = {s: (t, sign) for s, t, sign in other.mapping}
+        if images.keys() != {t for _, t, _ in self.mapping}:
+            raise ValueError("the sources of other are not the targets of self")
         triples = []
         for s, t, sign in self.mapping:
             t2, sign2 = images[t]
             triples.append((s, t2, sign * sign2))
-        return IsometrySpec(self.source, other.target, tuple(triples))
+        return IsometrySpec(tuple(triples))
 
 
 def identity_iso(block: BlockId) -> IsometrySpec:
-    members = block_members(block)
-    return IsometrySpec(members, members, tuple((x, x, 1) for x in members))
+    return IsometrySpec(tuple((x, x, 1) for x in block_members(block)))
 
 
 def swap_J(block: BlockId, lam) -> IsometrySpec:
@@ -102,7 +99,7 @@ def swap_J(block: BlockId, lam) -> IsometrySpec:
     for x in members:
         y = minus if x == plus else plus if x == minus else x
         triples.append((x, y, 1))
-    return IsometrySpec(members, members, tuple(triples))
+    return IsometrySpec(tuple(triples))
 
 
 def iso_I(block: BlockId) -> IsometrySpec:
@@ -114,8 +111,7 @@ def iso_I(block: BlockId) -> IsometrySpec:
     for x, quotient in block_quotients(block).items():
         sign = delta_bar(x.lam, block.p) * (-1) ** quotient.lambda0.n
         triples.append((x, LocalLabel(side, quotient, x.tag), sign))
-    targets = tuple(t for _, t, _ in triples)
-    return IsometrySpec(tuple(s for s, _, _ in triples), targets, tuple(triples))
+    return IsometrySpec(tuple(triples))
 
 
 def basic_set_transport(iso: IsometrySpec, block: BlockId) -> bool:
@@ -247,9 +243,29 @@ def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
 class BroueReport:
     """Outcome of the two Broué conditions on one kernel."""
 
-    passed: bool
     integrality_failures: tuple  # (x, y) class pairs failing condition (i)
     support_failures: tuple  # (x, y) class pairs failing condition (ii)
+
+    @property
+    def passed(self) -> bool:
+        """Both conditions hold."""
+        return not self.integrality_failures and not self.support_failures
+
+    @property
+    def perfect(self) -> bool:
+        """The separation condition (ii) holds: on a block, the isometry is perfect (``perfect_check``)."""
+        return not self.support_failures
+
+
+def int_valuation(m: int, p: int) -> int:
+    """Exponent of p in the nonzero integer m."""
+    if p < 2 or m == 0:
+        raise ValueError(f"no valuation of {m} at {p}: needs p >= 2 and m != 0")
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 def broue_check(kernel: Kernel, p: int) -> BroueReport:
@@ -276,7 +292,7 @@ def broue_check(kernel: Kernel, p: int) -> BroueReport:
             bad_i.append((src[i], tgt[j]))
         if reg_src[i] != reg_tgt[j]:
             bad_ii.append((src[i], tgt[j]))
-    return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))
+    return BroueReport(tuple(bad_i), tuple(bad_ii))
 
 
 def swap_reports(block: BlockId) -> dict:
@@ -314,4 +330,4 @@ def perfect_check(iso: IsometrySpec, block: BlockId) -> bool:
     of ``block_kernel``, which raises ``UnsupportedTargetError`` for any
     other isometry.
     """
-    return not broue_check(block_kernel(iso, block), block.p).support_failures
+    return broue_check(block_kernel(iso, block), block.p).perfect

@@ -265,13 +265,3 @@ def verify_basic_set(block: BlockId) -> VerificationReport:
     table = block_table(block)
     return _z_span(basic_set(block), table.row_keys, table.rows, table)
 
-
-def int_valuation(m: int, p: int) -> int:
-    """Exponent of p in the nonzero integer m."""
-    if p < 2 or m == 0:
-        raise ValueError(f"no valuation of {m} at {p}: needs p >= 2 and m != 0")
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v

@@ -296,7 +296,7 @@ def local_basic_labels_dense(w: int, p: int, side: str) -> tuple:
     """Local labels with empty strict component, built from every dense quotient tuple."""
     out = []
     for comps in quotient_tuples(w, (p - 1) // 2):
-        q = BarQuotient(BarPartition(()), comps, p)
+        q = BarQuotient(BarPartition(()), dict(enumerate(comps, 1)), p)
         if q.sigma() == (-1 if side == SIDE_G else 1):
             out += [LocalLabel(side, q, PLUS), LocalLabel(side, q, MINUS)]
         else:
@@ -507,7 +507,7 @@ def broue_check_by_coefficients(kernel, p: int) -> BroueReport:
                 bad_i.append((x, y))
             if not v.is_zero() and x.is_regular(p) != y.is_regular(p):
                 bad_ii.append((x, y))
-    return BroueReport(not bad_i and not bad_ii, tuple(bad_i), tuple(bad_ii))
+    return BroueReport(tuple(bad_i), tuple(bad_ii))
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             Partition((1, 2))
 
+    def test_bar_partition_is_a_strict_partition(self):
+        lam = BarPartition((2, 1))
+        assert isinstance(lam, Partition) and (lam.n, lam.length) == (3, 2)
+        # the generated equality compares classes, so the two kinds never meet
+        assert lam != Partition((2, 1)) and Partition((2, 1)) != lam
+        assert repr(lam) == "BarPartition(2, 1)" and repr(Partition((2, 1))) == "Partition(2, 1)"
+        assert Partition((2, 2)).parts == (2, 2)
+        with pytest.raises(ValueError, match=r"^parts must be strictly decreasing: \(2, 2\)$"):
+            BarPartition((2, 2))
+        with pytest.raises(ValueError, match=r"^parts must be weakly decreasing: \(1, 2\)$"):
+            Partition((1, 2))
+        with pytest.raises(ValueError, match=r"^parts must be positive: \(2, 0\)$"):
+            BarPartition((2, 0))
+
 
 class TestSigma:
     def test_empty(self):
@@ -133,7 +147,7 @@ class TestBarCoreQuotient:
                 core, q = bar_core_quotient(lam, p)
                 assert core.parts == next(iter(reachable))
                 assert core.n + p * q.weight == lam.n
-                assert is_bar_core(lam, p) == q.is_empty()
+                assert is_bar_core(lam, p) == (q.weight == 0)
 
     def test_injective(self):
         for p in (3, 5):
@@ -151,7 +165,7 @@ class TestBarCoreQuotient:
         core, q = bar_core_quotient(lam, 7)
         assert core.parts == () and q.occupied == ((2, Partition((1,))),)
         assert q.components == (Partition(()), Partition((1,)), Partition(()))
-        assert q == BarQuotient(BarPartition(()), q.components, 7)
+        assert q == BarQuotient(BarPartition(()), dict(enumerate(q.components, 1)), 7)
         assert q == BarQuotient(BarPartition(()), {3: Partition(()), 2: Partition((1,))}, 7)
         # neither the quotient nor the work grows with p
         big = 100000000000031
@@ -159,31 +173,30 @@ class TestBarCoreQuotient:
         assert core == lam and q.occupied == () and q.weight == 0
         assert from_core_quotient(core, q, big) == lam
 
-    def test_quotient_needs_every_component(self):
-        with pytest.raises(ValueError):
-            BarQuotient(BarPartition(()), (Partition(()),) * 2, 3)
-        with pytest.raises(ValueError):
-            BarQuotient(BarPartition(()), {2: Partition((1,))}, 3)
+    def test_quotient_refuses_pairs_out_of_range(self):
+        for pair in (0, 2):
+            with pytest.raises(ValueError, match="residue pairs run from 1 to 1"):
+                BarQuotient(BarPartition(()), {pair: Partition((1,))}, 3)
 
 
 class TestFromCoreQuotient:
     def test_weight_zero_fixed_point(self):
         lam = BarPartition((5, 2))
-        empty_q = BarQuotient(BarPartition(()), (Partition(()),), 3)
+        empty_q = BarQuotient(BarPartition(()), {1: Partition(())}, 3)
         assert from_core_quotient(lam, empty_q, 3) == lam
 
     def test_single_strip_reconstruction(self):
-        q = BarQuotient(BarPartition((1,)), (Partition(()),), 3)
+        q = BarQuotient(BarPartition((1,)), {1: Partition(())}, 3)
         assert from_core_quotient(BarPartition((1,)), q, 3).parts == (3, 1)
 
     def test_111_component(self):
-        q = BarQuotient(BarPartition(()), (Partition((1, 1, 1)),), 3)
+        q = BarQuotient(BarPartition(()), {1: Partition((1, 1, 1))}, 3)
         lam = from_core_quotient(BarPartition(()), q, 3)
         core, back = bar_core_quotient(lam, 3)
         assert core.parts == () and back == q
 
     def test_invalid_core(self):
-        q = BarQuotient(BarPartition(()), (Partition(()),), 3)
+        q = BarQuotient(BarPartition(()), {1: Partition(())}, 3)
         with pytest.raises(ValueError):
             from_core_quotient(BarPartition((3,)), q, 3)
 

@@ -172,7 +172,7 @@ class TestLocalLabels:
     def test_tag_consistency_enforced(self):
         from spinbars.barcomb import BarQuotient, Partition
 
-        q = BarQuotient(BarPartition(()), (Partition((1,)),), 3)  # sign -1
+        q = BarQuotient(BarPartition(()), {1: Partition((1,))}, 3)  # sign -1
         with pytest.raises(ValueError):
             LocalLabel(SIDE_G, q, SELF)
         LocalLabel(SIDE_G, q, PLUS)

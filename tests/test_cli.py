@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from spinbars import barcomb, blocks, cli
+from spinbars import barcomb, blocks, cli, zverify
 
 
 # sha256 of `spinbars isometry --group sym --n 14 --p <p>` stdout, by p
@@ -53,6 +54,16 @@ TABLE_SHA256 = {
     "verify --n 5 --p 3 --core 2": "2b59cb1f5853b8d4da26b5d2d93197085363403b3c61f4135445399ec21a885b",
     "cores --n 6 --p 3": "2f180484c6f001a933b1cd5c19d31d2b35995ab09dfd8ac4fe20dbf0b5f974ff",
     "selftest": "d7feda279ff74b263c14d420035890ae65cd6028267e2a184bf78b84b9ccae84",
+}
+
+# sha256 of JSON stdout, by argv: every verb that prints a bar partition, a
+# p-bar quotient, a signed label bijection or a Broué verdict
+JSON_SHA256 = {
+    "cores --n 12 --p 5": "03b97b5d01eefd951c651559c14c0d04384c1b606fa12c52126c76057b329c32",
+    "isometry --group sym --n 12 --p 5": "7bf075e18f457f52e9ac94fc9b472ba3d5e590ed470743abf14930eb8238516d",
+    "isometry --group alt --n 13 --p 3": "deba2b6c71d4195537ad3c4c0fd791c20d095fd89917ffe3f0f46cfc32b621e2",
+    "blocks --group alt --n 11 --p 7": "c573c914fd3f4ef22ccfdf5e8d7ee8afb7b32dcc85f6a437d96a8139708e84e4",
+    "counts --group sym --n 13 --p 3": "be28a09efb10bc5d422fb2452092535d152fffdc975947038b80df7e336e248a",
 }
 
 
@@ -139,8 +150,8 @@ class TestVerbs:
 
         cells = (("x", "y"),)
         for report, verdicts in (
-            (BroueReport(False, cells, ()), "broue=fail perfect=pass"),
-            (BroueReport(False, (), cells), "broue=fail perfect=fail"),
+            (BroueReport(cells, ()), "broue=fail perfect=pass"),
+            (BroueReport((), cells), "broue=fail perfect=fail"),
         ):
             monkeypatch.setattr(cli, "swap_reports", lambda block, report=report: {(4,): report})
             status, out = run_cli(capsys, "isometry", "--n", "4", "--p", "3", "--format", "table")
@@ -176,6 +187,12 @@ class TestVerbs:
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[argv]
 
+    @pytest.mark.parametrize("argv", sorted(JSON_SHA256))
+    def test_json_digest(self, capsys, argv):
+        status, out = run_cli(capsys, *argv.split())
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == JSON_SHA256[argv]
+
     def test_selftest(self, capsys):
         status, out = run_cli(capsys, "selftest")
         assert status == 0
@@ -196,6 +213,21 @@ class TestVerbs:
         status, _ = run_cli(capsys, "selftest")
         assert status == 0
         assert calls[0] == 140  # strict partitions of n <= 12, for p = 3 and p = 5
+
+    def test_failing_selftest_exits_1(self, capsys, monkeypatch):
+        verify = zverify.verify_basic_set
+        monkeypatch.setattr(
+            zverify, "verify_basic_set", lambda block: dataclasses.replace(verify(block), verdict=False)
+        )
+        status, out = run_cli(capsys, "selftest")
+        assert status == 1
+        payload = json.loads(out)
+        validate(payload)
+        assert {c["check"]: c["ok"] for c in payload["results"]} == {
+            "worked-micro-instance": False,
+            "sign-identity-n<=12": True,
+            "verification-n<=8": False,
+        }
 
 
 class TestContract:

@@ -61,20 +61,19 @@ def find_class(classes, pi):
 
 class TestIsometrySpec:
     def test_rejects_non_bijections(self):
-        members = block_members(block_n3())
-        a, b, c = members
-        with pytest.raises(ValueError):
-            IsometrySpec(members, members, ((a, a, 1), (b, b, 1)))  # drops source c
-        with pytest.raises(ValueError):
-            IsometrySpec(members, members, ((a, a, 1), (b, a, 1), (c, c, 1)))  # repeats target a
-        IsometrySpec(members, members, ((a, b, 1), (b, a, -1), (c, c, 1)))
+        a, b, c = block_members(block_n3())
+        with pytest.raises(ValueError, match="appears twice"):
+            IsometrySpec(((a, a, 1), (a, b, 1), (c, c, 1)))  # repeats source a
+        with pytest.raises(ValueError, match="appears twice"):
+            IsometrySpec(((a, a, 1), (b, a, 1), (c, c, 1)))  # repeats target a
+        assert IsometrySpec(((a, b, 1), (b, a, -1), (c, c, 1))).mapping == ((a, b, 1), (b, a, -1), (c, c, 1))
 
     def test_rejects_signs_other_than_plus_minus_one(self):
         members = block_members(block_n3())
         a, b, c = members
         for sign in (0, 2, -2):
             with pytest.raises(ValueError):
-                IsometrySpec(members, members, ((a, a, 1), (b, b, sign), (c, c, 1)))
+                IsometrySpec(((a, a, 1), (b, b, sign), (c, c, 1)))
 
     def test_compose_follows_each_image(self):
         rng = random.Random("compose")
@@ -84,6 +83,17 @@ class TestIsometrySpec:
                 g = _random_signed_bijection(members, rng)
                 want = tuple((s, g.image(t)[0], sign * g.image(t)[1]) for s, t, sign in f.mapping)
                 assert f.compose(g).mapping == want, b
+
+    def test_compose_refuses_mismatched_middle_sets(self):
+        a, b, c = block_members(block_n3())
+        f = IsometrySpec(((a, b, 1), (b, a, -1)))
+        for g in (
+            IsometrySpec(((a, a, 1), (b, b, 1), (c, c, 1))),  # covers more than f's targets
+            IsometrySpec(((a, a, 1),)),  # covers fewer
+            IsometrySpec(((a, a, 1), (c, c, 1))),  # as many, but not the same
+        ):
+            with pytest.raises(ValueError, match="not the targets"):
+                f.compose(g)
 
 
 class TestSwapJ:
@@ -181,7 +191,7 @@ class TestIsoI:
                             s1, t1, _ = others[0]
                             swapped = {s0: t1, s1: t0}
                             mapping = tuple((s, swapped.get(s, t), e) for s, t, e in iso.mapping)
-                            assert not basic_set_transport(IsometrySpec(iso.source, iso.target, mapping), b), b
+                            assert not basic_set_transport(IsometrySpec(mapping), b), b
 
 
 class TestKernels:
@@ -464,17 +474,17 @@ def _failed(kind: str, report) -> set:
 
 def _flip_sign(iso: IsometrySpec) -> IsometrySpec:
     (s, t, sign), *rest = iso.mapping
-    return IsometrySpec(iso.source, iso.target, ((s, t, -sign), *rest))
+    return IsometrySpec(((s, t, -sign), *rest))
 
 
 def _transpose(iso: IsometrySpec) -> IsometrySpec:
     (s0, t0, e0), (s1, t1, e1), *rest = iso.mapping
-    return IsometrySpec(iso.source, iso.target, ((s0, t1, e1), (s1, t0, e0), *rest))
+    return IsometrySpec(((s0, t1, e1), (s1, t0, e0), *rest))
 
 
 def _random_signed_bijection(members: tuple, rng: random.Random) -> IsometrySpec:
     targets = rng.sample(members, len(members))
-    return IsometrySpec(members, members, tuple((s, t, rng.choice((1, -1))) for s, t in zip(members, targets)))
+    return IsometrySpec(tuple((s, t, rng.choice((1, -1))) for s, t in zip(members, targets)))
 
 
 def _isometries(b: BlockId, members: tuple, rng: random.Random) -> list:
