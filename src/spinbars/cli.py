@@ -13,6 +13,11 @@ from .isometry import basic_set_transport, iso_I, swap_reports
 from .spinchar import MARKS, SpinLabel
 
 
+def _dumps(obj) -> str:
+    # entries are built fresh and hold no cycle, so the cycle check buys nothing
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def _label_json(x: SpinLabel) -> dict:
     return {"partition": list(x.lam.parts), "tag": x.tag}
 
@@ -64,20 +69,16 @@ def _fmt_label(label: dict) -> str:
     return _fmt_parts(label["partition"]) + MARKS[label["tag"]]
 
 
-def _cmd_cores(args) -> tuple[list, int]:
-    results = []
+def _cores(args):
     for lam in bar_partitions(args.n):
         core, quotient = bar_core_quotient(lam, args.p)
-        results.append(
-            {
-                "partition": list(lam.parts),
-                "sign": sigma(lam),
-                "core": list(core.parts),
-                "weight": quotient.weight,
-                "quotient": _quotient_json(quotient),
-            }
-        )
-    return results, 0
+        yield {
+            "partition": list(lam.parts),
+            "sign": sigma(lam),
+            "core": list(core.parts),
+            "weight": quotient.weight,
+            "quotient": _quotient_json(quotient),
+        }
 
 
 def _cores_lines(r: dict) -> list[str]:
@@ -110,29 +111,43 @@ def _basic_set_lines(r: dict) -> list[str]:
     return [f"core={_fmt_parts(r['core'])} w={r['weight']} basic-set: {labels}"]
 
 
-# every zero cell of a rendered matrix is this one dict; it is never mutated
-_ZERO_CELL = {"re": [], "im": []}
+def _cell_text(units: tuple, values: tuple) -> str:
+    """One value as AlgNum.to_json text: the table holds twice each value, a/2 in lowest terms."""
+    re, im = [], []
+    for (d, e), a in zip(units, values):
+        if a:
+            (im if e else re).append(f"[{a},2,{d}]" if a % 2 else f"[{a // 2},1,{d}]")
+    return '{"im":[' + ",".join(im) + '],"re":[' + ",".join(re) + "]}"
 
 
-def _values_json(table: zverify.IntegerTable) -> list[list[dict]]:
-    """Each row's values in AlgNum.to_json form: the table holds twice each value, a/2 in lowest terms."""
-    width = len(table.classes)
-    out = []
-    for row in table.rows:
-        cells = [_ZERO_CELL] * width
-        for (j, (d, e)), a in zip(table.columns, row):
-            if a:
-                cell = cells[j]
-                if cell is _ZERO_CELL:
-                    cell = cells[j] = {"re": [], "im": []}
-                cell["im" if e else "re"].append([a, 2, d] if a % 2 else [a // 2, 1, d])
-        out.append(cells)
-    return out
+def _matrix_text(table: zverify.IntegerTable) -> str:
+    """The matrix of a verify entry as JSON text, written straight from its integer table.
+
+    The columns are sorted by class index, so each class's cell is one slice
+    of a row; a cell's text is memoised by the slice's units and values.
+    """
+    units_of = [[] for _ in table.classes]
+    for j, unit in table.columns:
+        units_of[j].append(unit)
+    slices, memos, start = [], {}, 0
+    for units in map(tuple, units_of):
+        slices.append((start, start + len(units), units, memos.setdefault(units, {})))
+        start += len(units)
+    rows = []
+    for x, row in zip(table.row_keys, table.rows):
+        cells = []
+        for lo, hi, units, memo in slices:
+            values = row[lo:hi]
+            text = memo.get(values)
+            if text is None:
+                text = memo[values] = _cell_text(units, values)
+            cells.append(text)
+        rows.append('{"label":' + _dumps(_label_json(x)) + ',"values":[' + ",".join(cells) + "]}")
+    return "[" + ",".join(rows) + "]"
 
 
 def _verify(b: BlockId) -> dict:
     report = zverify.verify_basic_set(b)
-    table = report.table
     return {
         "verdict": "pass" if report.verdict else "fail",
         "basic_set": [_label_json(x) for x in report.candidates],
@@ -143,27 +158,20 @@ def _verify(b: BlockId) -> dict:
         ],
         "classes": [
             {"type": list(c.pi), "branch": c.branch, "centralizer": c.centralizer_order}
-            for c in table.classes
+            for c in report.table.classes
         ],
-        "matrix": [
-            {"label": _label_json(x), "values": values}
-            for x, values in zip(table.row_keys, _values_json(table))
-        ],
+        # the integer table itself: only the JSON writer renders it, by _matrix_text
+        "matrix": report.table,
     }
 
 
-def _verify_lines(r: dict) -> list[str]:
-    """One line per block of the one verify result, then its summary."""
-    lines = []
-    for e in r["blocks"]:
-        rel = "; ".join(f"{_fmt_label(x['label'])} = {x['coordinates']}" for x in e["relations"])
-        basic = " ".join(_fmt_label(x) for x in e["basic_set"])
-        lines.append(
-            f"core={_fmt_parts(e['core'])} w={e['weight']} sign={e['sign']:+d} "
-            f"verdict={e['verdict']} basic-set: {basic}" + (f" relations: {rel}" if rel else "")
-        )
-    s = r["summary"]
-    return lines + [f"summary: {s['pass']} pass, {s['fail']} fail of {s['blocks']}"]
+def _verify_lines(e: dict) -> list[str]:
+    rel = "; ".join(f"{_fmt_label(x['label'])} = {x['coordinates']}" for x in e["relations"])
+    basic = " ".join(_fmt_label(x) for x in e["basic_set"])
+    return [
+        f"core={_fmt_parts(e['core'])} w={e['weight']} sign={e['sign']:+d} "
+        f"verdict={e['verdict']} basic-set: {basic}" + (f" relations: {rel}" if rel else "")
+    ]
 
 
 def _counts(b: BlockId) -> dict:
@@ -225,15 +233,13 @@ def _isometry_lines(r: dict) -> list[str]:
     return lines
 
 
-def _cmd_selftest(args) -> tuple[list, int]:
-    checks = []
-
+def _selftest():
     def check(name, fn):
         try:
             ok = bool(fn())
         except Exception:  # noqa: BLE001 - report, do not crash the battery
             ok = False
-        checks.append({"check": name, "ok": ok})
+        return {"check": name, "ok": ok}
 
     b = BlockId("sym", 3, BarPartition(()), 1)
 
@@ -253,8 +259,8 @@ def _cmd_selftest(args) -> tuple[list, int]:
             and report.verdict
         )
 
-    check("worked-micro-instance", micro)
-    check(
+    yield check("worked-micro-instance", micro)
+    yield check(
         "sign-identity-n<=12",
         lambda: all(
             sigma(lam) == sigma(core) * quotient.sigma()
@@ -264,7 +270,7 @@ def _cmd_selftest(args) -> tuple[list, int]:
             for core, quotient in [bar_core_quotient(lam, p)]
         ),
     )
-    check(
+    yield check(
         "verification-n<=8",
         lambda: all(
             zverify.verify_basic_set(bid).verdict
@@ -272,8 +278,6 @@ def _cmd_selftest(args) -> tuple[list, int]:
             for bid, _ in block_partition(group, 8, 3)
         ),
     )
-    failed = sum(1 for c in checks if not c["ok"])
-    return checks, (1 if failed else 0)
 
 
 def _selftest_lines(r: dict) -> list[str]:
@@ -282,7 +286,7 @@ def _selftest_lines(r: dict) -> list[str]:
 
 # each verb, in the parser's order, with the fields it adds to a selected block's
 # _block_json entry (None for cores and selftest, which select no block) and the
-# table lines of one of its results
+# table lines of one of its entries
 COMMANDS = {
     "cores": (None, _cores_lines),
     "blocks": (_blocks, _blocks_lines),
@@ -293,25 +297,67 @@ COMMANDS = {
     "selftest": (None, _selftest_lines),
 }
 
+# the verbs whose entries can fail, and the test of a failed entry (exit status 1)
+FAILED = {"verify": lambda e: e["verdict"] != "pass", "selftest": lambda e: not e["ok"]}
 
-def _results(args) -> tuple[list, int]:
-    """The verb's results and exit status; cores and selftest select no block."""
+
+def _entries(args):
+    """The verb's entries, each built when it is read; the blocks are selected by this call."""
     if args.command == "cores":
-        return _cmd_cores(args)
+        return _cores(args)
     if args.command == "selftest":
-        return _cmd_selftest(args)
+        return _selftest()
     fields, _ = COMMANDS[args.command]
-    results = [{**_block_json(b), **fields(b)} for b in _select_blocks(args)]
-    if args.command != "verify":
-        return results, 0
-    failed = sum(1 for r in results if r["verdict"] != "pass")
-    summary = {"blocks": len(results), "pass": len(results) - failed, "fail": failed}
-    return [{"summary": summary, "blocks": results}], (1 if failed else 0)
+    chosen = _select_blocks(args)
+    return ({**_block_json(b), **fields(b)} for b in chosen)
 
 
-def _render_table(command: str, results: list) -> str:
-    _, lines_of = COMMANDS[command]
-    return "\n".join(line for r in results for line in lines_of(r))
+def _entry_json(entry: dict) -> str:
+    """One entry as sorted compact JSON; a verify entry's table is written between its other fields."""
+    if "matrix" not in entry:
+        return _dumps(entry)
+    before = _dumps({k: v for k, v in entry.items() if k < "matrix"})
+    after = _dumps({k: v for k, v in entry.items() if k > "matrix"})
+    return before[:-1] + ',"matrix":' + _matrix_text(entry["matrix"]) + "," + after[1:]
+
+
+def _write(args, entries) -> int:
+    """Write each entry to stdout as soon as it is built, then verify's summary; return the exit status.
+
+    The payload's keys are sorted, so nothing needs look-ahead: "command" <
+    "parameters" < "results", and within verify's one result "blocks" < "summary".
+    """
+    write = sys.stdout.write
+    as_json = args.format == "json"
+    verify = args.command == "verify"
+    if as_json:
+        head = {
+            "command": args.command,
+            "parameters": {
+                "n": getattr(args, "n", None),
+                "p": getattr(args, "p", None),
+                "group": getattr(args, "group", None),
+                "core": list(args.core.parts) if getattr(args, "core", None) is not None else None,
+            },
+        }
+        write(_dumps(head)[:-1] + ',"results":[' + ('{"blocks":[' if verify else ""))
+    _, lines_of = COMMANDS[args.command]
+    failed_if = FAILED.get(args.command)
+    count = failed = 0
+    for entry in entries:
+        if as_json:
+            write(("," if count else "") + _entry_json(entry))
+        else:
+            write("".join(line + "\n" for line in lines_of(entry)))
+        count += 1
+        failed += failed_if is not None and failed_if(entry)
+    if verify and as_json:
+        write('],"summary":' + _dumps({"blocks": count, "pass": count - failed, "fail": failed}) + "}]}\n")
+    elif verify:
+        write(f"summary: {count - failed} pass, {failed} fail of {count}\n")
+    elif as_json:
+        write("]}\n")
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,25 +395,10 @@ def run(argv=None) -> int:
         if args.n < 0:
             parser.error("--n must be non-negative")
     try:
-        results, status = _results(args)
+        entries = _entries(args)
     except ValueError as exc:
         parser.error(str(exc))
-    payload = {
-        "command": args.command,
-        "parameters": {
-            "n": getattr(args, "n", None),
-            "p": getattr(args, "p", None),
-            "group": getattr(args, "group", None),
-            "core": list(args.core.parts) if getattr(args, "core", None) is not None else None,
-        },
-        "results": results,
-    }
-    if args.format == "json":
-        # the payload is built fresh here and holds no cycle, so the cycle check buys nothing
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False))
-    else:
-        print(_render_table(args.command, results))
-    return status
+    return _write(args, entries)
 
 
 def main() -> None:

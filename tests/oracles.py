@@ -15,6 +15,9 @@ values by the bar-strip removal recursion, the value rule one cell at a
 time, and the split classes by a filter over every partition.
 ``expand_z`` writes a kernel over the library's split classes out over
 both central translates of each class, which the library leaves implicit.
+``cli_payload`` builds the CLI's whole payload as one tree of dicts, with a
+dict per matrix cell (``values_json``), for one ``json.dumps``: the byte
+oracle of the streamed output.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 
-from spinbars import spinchar
+from spinbars import cli, spinchar
 from spinbars.algnum import AlgNum
 from spinbars.barcomb import BarPartition, BarQuotient, bar_removals, partitions
 from spinbars.blocks import SIDE_G, LocalLabel, block_of
@@ -549,3 +552,52 @@ def z_value_matrix(values):
     """A value matrix over z_classes of its classes: each value, then its negative at zx."""
     entries = tuple(tuple(u for v in row for u in (v, -v)) for row in values.entries)
     return ValueMatrix(values.row_keys, z_classes(values.classes), entries)
+
+
+def values_json(table) -> list[list[dict]]:
+    """Each row's values in AlgNum.to_json form: the table holds twice each value, a/2 in lowest terms."""
+    out = []
+    for row in table.rows:
+        cells = [{"re": [], "im": []} for _ in table.classes]
+        for (j, (d, e)), a in zip(table.columns, row):
+            if a:
+                cells[j]["im" if e else "re"].append([a, 2, d] if a % 2 else [a // 2, 1, d])
+        out.append(cells)
+    return out
+
+
+def cli_payload(argv: list[str]) -> tuple[dict, list[str], int]:
+    """The CLI's payload as one tree, its table lines and its exit status, for valid argv.
+
+    The entries come from ``cli._entries``; a verify entry's integer table is
+    rendered as a list of {"label", "values"} dicts, and verify's blocks are
+    wrapped with their summary only after the last one is built.
+    """
+    args = cli.build_parser().parse_args(argv)
+    _, lines_of = cli.COMMANDS[args.command]
+    results = list(cli._entries(args))
+    for entry in results:
+        if "matrix" in entry:
+            table = entry["matrix"]
+            entry["matrix"] = [
+                {"label": {"partition": list(x.lam.parts), "tag": x.tag}, "values": values}
+                for x, values in zip(table.row_keys, values_json(table))
+            ]
+    lines = [line for entry in results for line in lines_of(entry)]
+    # a verify block fails on its verdict, a selftest check on its flag
+    failed = sum(1 for entry in results if entry.get("verdict", "pass") != "pass" or not entry.get("ok", True))
+    if args.command == "verify":
+        summary = {"blocks": len(results), "pass": len(results) - failed, "fail": failed}
+        results = [{"summary": summary, "blocks": results}]
+        lines.append(f"summary: {summary['pass']} pass, {summary['fail']} fail of {summary['blocks']}")
+    payload = {
+        "command": args.command,
+        "parameters": {
+            "n": getattr(args, "n", None),
+            "p": getattr(args, "p", None),
+            "group": getattr(args, "group", None),
+            "core": list(args.core.parts) if getattr(args, "core", None) is not None else None,
+        },
+        "results": results,
+    }
+    return payload, lines, (1 if failed else 0)

@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 from spinbars import barcomb, blocks, cli, zverify
+from oracles import cli_payload
 
 
 # sha256 of `spinbars isometry --group sym --n 14 --p <p>` stdout, by p
@@ -57,14 +58,33 @@ TABLE_SHA256 = {
 }
 
 # sha256 of JSON stdout, by argv: every verb that prints a bar partition, a
-# p-bar quotient, a signed label bijection or a Broué verdict
+# p-bar quotient, a signed label bijection or a Broué verdict, and verify's
+# matrices on both covers and under a --core filter
 JSON_SHA256 = {
+    "verify --group sym --n 14 --p 3": "caff32228bf0deb5f66251267f744a1508b4b830221534ad8baaf68df3e1b68f",
+    "verify --group alt --n 12 --p 5": "8e5913e3eddf8015d1e05f50f54e5638b9ec10f82b150fadeabf15da41899138",
+    "verify --group sym --n 13 --p 5 --core 3": "f8ad8e792e077ea2dcb2c170ae33f14f4eed5ea18a9f2fb6384a953dce84b27e",
     "cores --n 12 --p 5": "03b97b5d01eefd951c651559c14c0d04384c1b606fa12c52126c76057b329c32",
     "isometry --group sym --n 12 --p 5": "7bf075e18f457f52e9ac94fc9b472ba3d5e590ed470743abf14930eb8238516d",
     "isometry --group alt --n 13 --p 3": "deba2b6c71d4195537ad3c4c0fd791c20d095fd89917ffe3f0f46cfc32b621e2",
     "blocks --group alt --n 11 --p 7": "c573c914fd3f4ef22ccfdf5e8d7ee8afb7b32dcc85f6a437d96a8139708e84e4",
     "counts --group sym --n 13 --p 3": "be28a09efb10bc5d422fb2452092535d152fffdc975947038b80df7e336e248a",
 }
+
+
+def differential_argvs(verb):
+    """The argv lists the streamed output is compared on with the tree oracle."""
+    if verb == "selftest":
+        return [["selftest"]]
+    if verb == "cores":
+        return [["cores", "--n", str(n), "--p", str(p)] for p in (3, 5, 7, 11) for n in range(13)]
+    top = 16 if verb == "verify" else 12
+    return [
+        [verb, "--group", group, "--n", str(n), "--p", str(p)]
+        for group in ("sym", "alt")
+        for p in (3, 5, 7, 11)
+        for n in range(1, top + 1)
+    ]
 
 
 def run_cli(capsys, *argv):
@@ -331,17 +351,53 @@ class TestContract:
 
         real = zverify.verify_basic_set
 
-        def sabotaged(block):
+        def sabotaged(block):  # fails the block of weight 2, passes the defect-zero one
             rep = real(block)
             return zverify.VerificationReport(
-                rep.table, rep.candidates, False, rep.coordinates, rep.rank_full, rep.rank_candidate
+                rep.table, rep.candidates, not block.weight, rep.coordinates, rep.rank_full, rep.rank_candidate
             )
 
         monkeypatch.setattr(zverify, "verify_basic_set", sabotaged)
-        status, out = run_cli(capsys, "verify", "--n", "3", "--p", "3")
+        status, out = run_cli(capsys, "verify", "--n", "7", "--p", "3")
         assert status == 1
+        # the summary and the status follow the last streamed block
         payload = json.loads(out)
-        assert payload["results"][0]["summary"]["fail"] == 1
+        validate(payload)
+        assert payload["results"][0]["summary"] == {"blocks": 2, "pass": 1, "fail": 1}
+        assert [b["verdict"] for b in payload["results"][0]["blocks"]] == ["fail", "pass"]
+
+    def test_unmatched_core_writes_nothing(self, capsys):
+        # blocks are selected before the first byte is written
+        for verb in ("blocks", "verify"):
+            for fmt in ("json", "table"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.run([verb, "--n", "7", "--p", "3", "--core", "2", "--format", fmt])
+                captured = capsys.readouterr()
+                assert exc.value.code == 2 and captured.out == ""
+                assert "core (2,)" in captured.err
+
+    def test_verify_table_renders_no_matrix(self, capsys, monkeypatch):
+        def boom(table):
+            raise RuntimeError("a matrix rendered for --format table")
+
+        monkeypatch.setattr(cli, "_matrix_text", boom)
+        for argv in sorted(TABLE_SHA256):
+            if argv.startswith("verify"):
+                status, out = run_cli(capsys, *argv.split(), "--format", "table")
+                assert status == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[argv]
+
+    @pytest.mark.parametrize("verb", list(cli.COMMANDS))
+    def test_streamed_output_matches_the_tree_oracle(self, capsys, verb):
+        # the whole payload as one tree and one json.dumps, the table as one join
+        for argv in differential_argvs(verb):
+            payload, lines, status = cli_payload(argv)
+            expected = {
+                "json": json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+                "table": "\n".join(lines) + "\n",
+            }
+            for fmt, text in expected.items():
+                assert run_cli(capsys, *argv, "--format", fmt) == (status, text), (argv, fmt)
 
     def test_verify_and_counts_never_build_algnum_values(self, capsys, monkeypatch):
         # the CLI reads integer tables; AlgNum values stay at the API boundary
@@ -389,20 +445,22 @@ class TestContract:
         _, third = run_cli(capsys, *args)
         assert third == first
 
-    def test_zero_cells_share_one_unmutated_dict(self, capsys):
-        from spinbars import zverify
+    def test_zero_cells_render_as_empty_terms(self, capsys):
         from spinbars.blocks import block_partition
 
-        runs = [
-            [run_cli(capsys, "verify", "--group", group, "--n", "9", "--p", "3")[1] for group in ("sym", "alt")]
-            for _ in range(2)
-        ]
-        assert cli._ZERO_CELL == {"re": [], "im": []}
-        assert runs[1] == runs[0]
         b, _ = block_partition("alt", 9, 3)[0]
-        values = cli._values_json(zverify.block_table(b))
-        assert any(cell is cli._ZERO_CELL for row in values for cell in row)
-        assert all(cell is cli._ZERO_CELL or cell["re"] or cell["im"] for row in values for cell in row)
+        table = zverify.block_table(b)
+        text = cli._matrix_text(table)
+        assert '{"im":[],"re":[]}' in text
+        rows = json.loads(text)
+        assert [row["label"] for row in rows] == [cli._label_json(x) for x in table.row_keys]
+        assert all(len(row["values"]) == len(table.classes) for row in rows)
+        # a cell is empty exactly when its slice of the row is zero
+        for row, values in zip(rows, table.rows):
+            zero = [True] * len(table.classes)
+            for (j, _), a in zip(table.columns, values):
+                zero[j] = zero[j] and not a
+            assert [not (cell["re"] or cell["im"]) for cell in row["values"]] == zero
 
     def test_schema_covers_all_group_variants(self, capsys):
         for group in ("sym", "alt"):

@@ -27,6 +27,7 @@ from oracles import (
     block_members_by_scan,
     bounded_combination,
     dense_integer_expansion,
+    values_json,
     z_span_by_transform,
 )
 
@@ -369,7 +370,7 @@ class TestOracles:
                         ) == (table.verdict, table.coordinates, table.rank_full, table.rank_candidate), b
 
     def test_integer_table_and_rendering_match_the_algnum_path(self):
-        from spinbars.cli import _values_json
+        from spinbars.cli import _matrix_text
 
         blocks = 0
         for group in (SYM, ALT):
@@ -383,7 +384,13 @@ class TestOracles:
                         # the table holds twice each value: twice the rows over den
                         assert den in (1, 2) and list(table.columns) == columns, b
                         assert [[den * h for h in r] for r in table.rows] == [[2 * a for a in r] for r in rows], b
-                        assert _values_json(table) == [[v.to_json() for v in row] for row in m.entries], b
+                        values = [[v.to_json() for v in row] for row in m.entries]
+                        assert values_json(table) == values, b
+                        matrix = [
+                            {"label": {"partition": list(x.lam.parts), "tag": x.tag}, "values": row}
+                            for x, row in zip(m.row_keys, values)
+                        ]
+                        assert _matrix_text(table) == json.dumps(matrix, sort_keys=True, separators=(",", ":")), b
                         if n <= 12:
                             # every split class: the isometry table
                             whole = split_table(b)
