@@ -9,6 +9,11 @@ Following Brunat-Gramain, a block of weight w is matched to a weight-w
 local group (``local_side``), whose basic labels are the quotients with
 empty strict component; ``local_basic_labels`` visits only their occupied
 residue pairs, and their number is the block's Brauer count.
+
+One rule gives every tag: a label is a plus/minus pair exactly when its
+sign is the pair sign, ``spinchar.pair_sign`` on a cover (-1 on the
+symmetric one, +1 on the alternating one, whose n = 1 case is the
+symmetric one) and ``PAIR_SIGN`` on a local side (-1 on G, +1 on H).
 """
 
 from __future__ import annotations
@@ -26,10 +31,12 @@ from .barcomb import (
     partitions,
     sigma,
 )
-from .spinchar import MARKS, MINUS, PLUS, SELF, SYM, SpinLabel, labels
+from .spinchar import MARKS, SpinLabel, labels, pair_sign, tags
 
 SIDE_G = "G"
 SIDE_H = "H"
+# the sign of the quotients that label plus/minus pairs on each side
+PAIR_SIGN = {SIDE_G: -1, SIDE_H: 1}
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,7 @@ class BlockId:
     weight: int
 
     def __post_init__(self):
+        pair_sign(self.group, self.n)  # raises on an unknown group
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.weight < 0:
@@ -66,31 +74,22 @@ class BlockId:
 
 @dataclass(frozen=True)
 class LocalLabel:
-    """Label of a weight-w local spin character, given by a quotient tuple.
-
-    On the G side a quotient labels a plus/minus pair exactly when its sign
-    is -1; on the H side exactly when its sign is +1.
-    """
+    """Label of a weight-w local spin character, given by a quotient tuple; tagged by ``PAIR_SIGN``."""
 
     side: str
     quotient: BarQuotient
     tag: str
 
     def __post_init__(self):
-        if self.side not in (SIDE_G, SIDE_H):
+        if self.side not in PAIR_SIGN:
             raise ValueError(f"unknown side {self.side!r}")
-        if (self.tag == SELF) == _splits(self.side, self.quotient):
-            s = self.quotient.sigma()
-            raise ValueError(f"tag {self.tag} inconsistent with quotient sign {s} on side {self.side}")
+        s = self.quotient.sigma()
+        if self.tag not in tags(s, PAIR_SIGN[self.side]):
+            raise ValueError(f"tag {self.tag!r} inconsistent with quotient sign {s} on side {self.side}")
 
     def __repr__(self):
         comps = ",".join(str(c.parts) for c in self.quotient.components)
         return f"<{self.side}:({self.quotient.lambda0.parts};{comps}){MARKS[self.tag]}>"
-
-
-def _splits(side: str, quotient: BarQuotient) -> bool:
-    """Whether the quotient labels a plus/minus pair: sign -1 on the G side, +1 on H."""
-    return quotient.sigma() == (-1 if side == SIDE_G else 1)
 
 
 def block_of(x: SpinLabel, p: int) -> BlockId:
@@ -132,14 +131,13 @@ def basic_set(block: BlockId) -> tuple[SpinLabel, ...]:
 def local_side(block: BlockId) -> str:
     """Side of the weight-w local group matched to the block.
 
-    Symmetric cover: G side for positive block sign, H side otherwise; the
-    alternating cover takes the opposite side, which is forced by the tag
-    correspondence of the label bijection.
+    The side whose pair sign is the cover's pair sign times the block sign.
+    A member's sign is the block sign times its quotient's sign, so a member
+    is a plus/minus pair exactly when its quotient is one on this side, and
+    the label bijection (``isometry.iso_I``) keeps every tag.
     """
-    positive = block.sign == 1
-    if block.group == SYM:
-        return SIDE_G if positive else SIDE_H
-    return SIDE_H if positive else SIDE_G
+    pair = pair_sign(block.group, block.n) * block.sign
+    return next(side for side, s in PAIR_SIGN.items() if s == pair)
 
 
 def local_basic_labels(w: int, p: int, side: str) -> tuple[LocalLabel, ...]:
@@ -155,6 +153,8 @@ def local_basic_labels(w: int, p: int, side: str) -> tuple[LocalLabel, ...]:
         raise ValueError("w must be non-negative")
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    if side not in PAIR_SIGN:
+        raise ValueError(f"unknown side {side!r}")
     m = (p - 1) // 2
     by_size = [partitions(a) for a in range(w + 1)]
 
@@ -174,11 +174,7 @@ def local_basic_labels(w: int, p: int, side: str) -> tuple[LocalLabel, ...]:
     out = []
     for comps in spreads(w, 1):
         q = BarQuotient(empty, comps, p)
-        if _splits(side, q):
-            out.append(LocalLabel(side, q, PLUS))
-            out.append(LocalLabel(side, q, MINUS))
-        else:
-            out.append(LocalLabel(side, q, SELF))
+        out.extend(LocalLabel(side, q, tag) for tag in tags(q.sigma(), PAIR_SIGN[side]))
     return tuple(out)
 
 
@@ -186,9 +182,6 @@ def brauer_count(block: BlockId) -> int:
     """Number of irreducible Brauer characters in the block.
 
     The number of local basic labels on the block's local side, which is
-    the size of the basic set.  The degenerate n = 1 alternating cover
-    coincides with the symmetric cover and has one.
+    the size of the basic set.
     """
-    if block.n == 1:
-        return 1
     return len(local_basic_labels(block.weight, block.p, local_side(block)))

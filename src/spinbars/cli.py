@@ -120,8 +120,8 @@ def _cell_text(units: tuple, values: tuple) -> str:
     return '{"im":[' + ",".join(im) + '],"re":[' + ",".join(re) + "]}"
 
 
-def _matrix_text(table: zverify.IntegerTable) -> str:
-    """The matrix of a verify entry as JSON text, written straight from its integer table.
+def _matrix_text(table: zverify.IntegerTable):
+    """The matrix of a verify entry as JSON text in pieces, one per row, straight from its integer table.
 
     The columns are sorted by class index, so each class's cell is one slice
     of a row; a cell's text is memoised by the slice's units and values.
@@ -133,7 +133,8 @@ def _matrix_text(table: zverify.IntegerTable) -> str:
     for units in map(tuple, units_of):
         slices.append((start, start + len(units), units, memos.setdefault(units, {})))
         start += len(units)
-    rows = []
+    yield "["
+    sep = ""
     for x, row in zip(table.row_keys, table.rows):
         cells = []
         for lo, hi, units, memo in slices:
@@ -142,8 +143,9 @@ def _matrix_text(table: zverify.IntegerTable) -> str:
             if text is None:
                 text = memo[values] = _cell_text(units, values)
             cells.append(text)
-        rows.append('{"label":' + _dumps(_label_json(x)) + ',"values":[' + ",".join(cells) + "]}")
-    return "[" + ",".join(rows) + "]"
+        yield sep + '{"label":' + _dumps(_label_json(x)) + ',"values":[' + ",".join(cells) + "]}"
+        sep = ","
+    yield "]"
 
 
 def _verify(b: BlockId) -> dict:
@@ -312,13 +314,16 @@ def _entries(args):
     return ({**_block_json(b), **fields(b)} for b in chosen)
 
 
-def _entry_json(entry: dict) -> str:
-    """One entry as sorted compact JSON; a verify entry's table is written between its other fields."""
+def _entry_json(entry: dict):
+    """One entry as sorted compact JSON, in pieces; a verify entry's matrix comes row by row amid its other fields."""
     if "matrix" not in entry:
-        return _dumps(entry)
+        yield _dumps(entry)
+        return
     before = _dumps({k: v for k, v in entry.items() if k < "matrix"})
     after = _dumps({k: v for k, v in entry.items() if k > "matrix"})
-    return before[:-1] + ',"matrix":' + _matrix_text(entry["matrix"]) + "," + after[1:]
+    yield before[:-1] + ',"matrix":'
+    yield from _matrix_text(entry["matrix"])
+    yield "," + after[1:]
 
 
 def _write(args, entries) -> int:
@@ -346,7 +351,9 @@ def _write(args, entries) -> int:
     count = failed = 0
     for entry in entries:
         if as_json:
-            write(("," if count else "") + _entry_json(entry))
+            if count:
+                write(",")
+            sys.stdout.writelines(_entry_json(entry))
         else:
             write("".join(line + "\n" for line in lines_of(entry)))
         count += 1

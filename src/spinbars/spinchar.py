@@ -47,27 +47,37 @@ def is_strict(pi: tuple[int, ...]) -> bool:
     return all(pi[i] > pi[i + 1] for i in range(len(pi) - 1))
 
 
+def pair_sign(group: str, n: int) -> int:
+    """Sign of the bar partitions of n that label plus/minus pairs of the cover.
+
+    -1 on the symmetric cover, +1 on the alternating one; every other bar
+    partition labels one self-associate character.  A_1 = S_1, so the
+    alternating cover of n = 1 is the symmetric one.
+    """
+    if group == SYM or (group == ALT and n == 1):
+        return -1
+    if group == ALT:
+        return 1
+    raise ValueError(f"unknown group {group!r}")
+
+
+def tags(sign: int, pair: int) -> tuple[str, ...]:
+    """Tags of the labels of a bar partition or quotient of the given sign, where pairs have sign ``pair``."""
+    return (PLUS, MINUS) if sign == pair else (SELF,)
+
+
 @dataclass(frozen=True)
 class SpinLabel:
-    """A spin character label: bar partition plus association tag.
-
-    Sym cover: a self-associate character when sigma is +1, a plus/minus
-    pair when sigma is -1.  Alt cover: the dual rule, except that for n = 1
-    the two covers coincide and the single character is self-associate.
-    """
+    """A spin character label: bar partition plus association tag (see ``pair_sign``)."""
 
     group: str
     lam: BarPartition
     tag: str
 
     def __post_init__(self):
-        if self.group not in (SYM, ALT):
-            raise ValueError(f"unknown group {self.group!r}")
-        if self.tag not in (SELF, PLUS, MINUS):
-            raise ValueError(f"unknown tag {self.tag!r}")
-        if (self.tag == SELF) == _splits(self.group, self.lam):
-            s = sigma(self.lam)
-            raise ValueError(f"tag {self.tag} inconsistent with sigma={s} for {self.lam} in {self.group}")
+        s = sigma(self.lam)
+        if self.tag not in tags(s, pair_sign(self.group, self.n)):
+            raise ValueError(f"tag {self.tag!r} inconsistent with sigma={s} for {self.lam} in {self.group}")
 
     @property
     def n(self) -> int:
@@ -82,27 +92,12 @@ class SpinLabel:
         return f"<{self.group}:{self.lam.parts}{MARKS[self.tag]}>"
 
 
-def _splits(group: str, lam: BarPartition) -> bool:
-    """Whether lam labels a plus/minus pair of the cover: sym for sigma -1, alt for +1 and n > 1."""
-    if group == SYM:
-        return sigma(lam) == -1
-    if group == ALT:
-        return sigma(lam) == 1 and lam.n > 1
-    raise ValueError(f"unknown group {group!r}")
-
-
 def labels(group: str, n: int) -> tuple[SpinLabel, ...]:
     """All spin labels of the chosen cover, in canonical order."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for lam in bar_partitions(n):
-        if _splits(group, lam):
-            out.append(SpinLabel(group, lam, PLUS))
-            out.append(SpinLabel(group, lam, MINUS))
-        else:
-            out.append(SpinLabel(group, lam, SELF))
-    return tuple(out)
+    pair = pair_sign(group, n)
+    return tuple(SpinLabel(group, lam, tag) for lam in bar_partitions(n) for tag in tags(sigma(lam), pair))
 
 
 def epsilon_twist(x: SpinLabel) -> SpinLabel:
@@ -159,24 +154,21 @@ def _odd_partitions(n: int, cap: int) -> list[tuple[int, ...]]:
 def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], int]]:
     """(type, branches, centralizer_order) for every split type, canonical order.
 
-    The split types are the odd-part types and the strict types of a fixed
-    sign: (n - length) odd on the symmetric cover, even on the alternating
-    one, where an odd-part strict type splits into two classes.  Both lists
-    come out lexicographically descending, the order of ``partitions``.
+    The split types are the odd-part types and the strict types whose sign
+    is the cover's pair sign.  A type of both kinds (only on the alternating
+    cover of n > 1) is two classes of the alternating group, branches 1 and
+    2.  A type's centralizer order is z times its number of classes times
+    the cover's order over n!: 2 when the pair sign is -1 (the symmetric
+    cover, and A_1 = S_1), else 1.
     """
-    if group == ALT and n == 1:
-        return [((1,), [0], 2)]
-    factor, parity = (2, 1) if group == SYM else (1, 0)
-    types = [
-        (pi, [1, 2], 2 * z_cycle(pi)) if group == ALT and is_strict(pi) else (pi, [0], factor * z_cycle(pi))
-        for pi in _odd_partitions(n, n)
-    ]
-    types += [
-        (lam.parts, [0], factor * z_cycle(lam.parts))
-        for lam in bar_partitions(n)
-        if (n - lam.length) % 2 == parity and not is_odd_type(lam.parts)
-    ]
-    return sorted(types, key=lambda t: t[0], reverse=True)
+    pair = pair_sign(group, n)
+    paired = {lam.parts for lam in bar_partitions(n) if sigma(lam) == pair}
+    order = 2 if pair == -1 else 1
+    types = []
+    for pi in sorted(paired.union(_odd_partitions(n, n)), reverse=True):
+        branches = [1, 2] if pi in paired and is_odd_type(pi) else [0]
+        types.append((pi, branches, order * len(branches) * z_cycle(pi)))
+    return types
 
 
 @lru_cache(maxsize=16)

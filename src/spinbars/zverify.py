@@ -223,28 +223,23 @@ def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> Verifica
     """
     by_key = dict(zip(row_keys, int_rows))
     k = len(candidate_keys)
-    coordinates = {}
-    rank = 0
-    if k == 0:
-        ok = all(not any(row) for row in int_rows)
-    else:
-        cand = [list(by_key[key]) for key in candidate_keys]
-        m = len(cand[0])
-        H = hnf([row + [int(i == j) for j in range(k)] for i, row in enumerate(cand)])
-        rank = sum(1 for row in H if any(row[:m]))
-        ok = rank == k
-        chosen = set(candidate_keys)
-        # equal rows have equal coordinates: each distinct row is solved once
-        solved = {}
-        for key in row_keys:
-            if key in chosen:
-                continue
-            row = tuple(by_key[key])
-            if row not in solved:
-                solved[row] = integral_coordinates(row, H, m)
-            coords = coordinates[key] = solved[row]
-            if coords is None:
-                ok = False
+    m = len(int_rows[0]) if int_rows else 0
+    cand = [list(by_key[key]) for key in candidate_keys]
+    H = hnf([row + [int(i == j) for j in range(k)] for i, row in enumerate(cand)])
+    rank = sum(1 for row in H if any(row[:m]))
+    ok = rank == k
+    chosen = set(candidate_keys)
+    # equal rows have equal coordinates: each distinct row is solved once
+    coordinates, solved = {}, {}
+    for key in row_keys:
+        if key in chosen:
+            continue
+        row = tuple(by_key[key])
+        if row not in solved:
+            solved[row] = integral_coordinates(row, H, m)
+        coords = coordinates[key] = solved[row]
+        if coords is None:
+            ok = False
     # on a pass the k candidate rows are independent and every other row is
     # an integral combination of them, so the full rank is k
     rank_full = k if ok else len(hnf(int_rows))

@@ -42,7 +42,7 @@ from spinbars.spinchar import (
     value_vector,
 )
 from spinbars.zverify import block_table, hnf, restricted_matrix, verify_basic_set
-from oracles import expand_z
+from oracles import brauer_count_closed_form, expand_z
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -205,12 +205,12 @@ def test_criterion_8_label_level_transport():
         for p in (3, 5, 7):
             for n in range(1, 13):
                 for block, _ in block_partition(group, n, p):
+                    # every block, n = 1 and weight 0 too: its local side's basic labels count its Brauer characters
+                    local = len(local_basic_labels(block.weight, p, local_side(block)))
+                    assert local == brauer_count(block) == brauer_count_closed_form(block), block
+                    assert local == len(basic_set(block)), block
                     if block.weight >= 1:
                         assert basic_set_transport(iso_I(block), block), block
-                        side = local_side(block)
-                        assert len(local_basic_labels(block.weight, p, side)) == len(
-                            basic_set(block)
-                        )
                         checked += 1
     report(
         "criterion 8 (label-level transport)",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from spinbars import barcomb, blocks, isometry
@@ -12,9 +14,10 @@ from spinbars.blocks import (
     block_partition,
     brauer_count,
     local_basic_labels,
+    local_side,
 )
 from spinbars.isometry import iso_I
-from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, epsilon_twist, labels
+from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, epsilon_twist, labels, split_classes
 from oracles import brauer_count_closed_form, local_basic_labels_dense
 
 
@@ -34,6 +37,17 @@ class TestBlockOf:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             BlockId(SYM, 4, BarPartition(()), 1)
+
+    def test_unknown_group(self):
+        with pytest.raises(ValueError, match="unknown group 'xyz'"):
+            labels("xyz", 3)
+        with pytest.raises(ValueError, match="unknown group 'xyz'"):
+            split_classes(3, group="xyz")
+        with pytest.raises(ValueError, match="unknown group 'xyz'"):
+            BlockId("xyz", 3, BarPartition(()), 1)
+        # a stand-in with a block's fields, since no BlockId has this group
+        with pytest.raises(ValueError, match="unknown group 'xyz'"):
+            local_side(SimpleNamespace(group="xyz", n=3, sign=1))
 
 
 class TestBlockPartition:

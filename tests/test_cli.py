@@ -450,7 +450,7 @@ class TestContract:
 
         b, _ = block_partition("alt", 9, 3)[0]
         table = zverify.block_table(b)
-        text = cli._matrix_text(table)
+        text = "".join(cli._matrix_text(table))
         assert '{"im":[],"re":[]}' in text
         rows = json.loads(text)
         assert [row["label"] for row in rows] == [cli._label_json(x) for x in table.row_keys]

@@ -172,6 +172,8 @@ class TestIsoI:
         assert local_side(BlockId(SYM, 3, BarPartition((2,)), 1)) == SIDE_H
         assert local_side(BlockId(ALT, 3, BarPartition(()), 1)) == SIDE_H
         assert local_side(BlockId(ALT, 3, BarPartition((2,)), 1)) == SIDE_G
+        # A_1 = S_1: the alternating cover of n = 1 takes the symmetric side
+        assert local_side(BlockId(ALT, 3, BarPartition((1,)), 0)) == SIDE_G
 
     @pytest.mark.parametrize("group", [SYM, ALT])
     def test_basic_transport(self, group):

@@ -188,6 +188,14 @@ class TestZSpanEqual:
         assert not rep.verdict
         assert rep.rank_candidate == 1
 
+    def test_no_candidates(self):
+        # every non-candidate row has a key: () for a zero row, None for any other
+        rep = z_span_equal((), make_matrix([[num(1)], [num(0)]]))
+        assert not rep.verdict and rep.coordinates == {"r0": None, "r1": ()}
+        assert (rep.rank_candidate, rep.rank_full) == (0, 1)
+        rep = z_span_equal((), make_matrix([[num(0)], [num(0)]]))
+        assert rep.verdict and rep.coordinates == {"r0": (), "r1": ()} and rep.rank_full == 0
+
     def test_missing_candidate_row(self):
         m = make_matrix([[num(1), num(1)]])
         with pytest.raises(ValueError):
@@ -390,7 +398,7 @@ class TestOracles:
                             {"label": {"partition": list(x.lam.parts), "tag": x.tag}, "values": row}
                             for x, row in zip(m.row_keys, values)
                         ]
-                        assert _matrix_text(table) == json.dumps(matrix, sort_keys=True, separators=(",", ":")), b
+                        assert "".join(_matrix_text(table)) == json.dumps(matrix, sort_keys=True, separators=(",", ":")), b
                         if n <= 12:
                             # every split class: the isometry table
                             whole = split_table(b)
