@@ -12,12 +12,17 @@ split class, for the kernels and the perfectness check in ``isometry``.
 Neither is cached: each call builds the table.  ``AlgNum`` appears only at
 the API and JSON boundary (``restricted_matrix``, ``integer_expansion`` and
 ``z_span_equal`` take and give exact values).  Every question about the
-table is then one about integer matrices, handled by a fraction-free
-Hermite normal form.
+table is then one about integer matrices.  The Z-span decision
+(``_z_span``) decides a pass modulo the word prime Q, by one Gauss-Jordan
+echelon of the candidate rows packed into 64-bit fields, and proves it by
+the exact integer check y * C = t on every non-candidate row t.  A
+fraction-free Hermite normal form decides every fail, and any block the
+modular path cannot prove.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -211,8 +216,145 @@ def integral_coordinates(target: list[int], H: list[list[int]], m: int):
     return tuple(-a for a in residual[m:])
 
 
-def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> VerificationReport:
-    """The Z-span decision on integer rows, one per row key, at any one scale of the values.
+# The modular pass path (Dixon, Numer. Math. 40, 1982; Storjohann, ETH thesis,
+# 2000).  Q is the largest prime below 2**26: a 64-bit field holds a residue
+# plus _MAX_UPDATES lazy updates of at most (Q - 1)**2 each without a carry.
+Q = 67_108_859
+_MAX_UPDATES = (2**64 - Q) // (Q - 1) ** 2  # 4096
+_FIELD = (1 << 64) - 1
+
+
+def _pack(fields) -> int:
+    """Nonnegative fields below 2**64, field j at bit 64 * j."""
+    return int.from_bytes(struct.pack(f"<{len(fields)}Q", *fields), "little")
+
+
+def _residues(packed: int, width: int) -> list[int]:
+    """The width fields of a packed row, each reduced mod Q."""
+    return [v % Q for v in struct.unpack(f"<{width}Q", packed.to_bytes(8 * width, "little"))]
+
+
+def _reduce(packed: int, cols, pivots) -> int:
+    """The packed row with each pivot's column cleared mod Q, by lazy updates."""
+    for col, pivot in zip(cols, pivots):
+        e = (packed >> (64 * col) & _FIELD) % Q
+        if e:
+            packed += (Q - e) * pivot
+    return packed
+
+
+def _echelon_mod_q(cand: list, m: int, transform: bool):
+    """Gauss-Jordan echelon of the candidate rows mod Q; None below k pivots.
+
+    Returns (pivot columns, packed pivot rows).  Each row is reduced by the
+    earlier pivots with lazy updates ``row += (Q - e) * pivot`` on its packed
+    form, and is unpacked, scaled to pivot 1 and repacked once it becomes a
+    pivot.  With ``transform``, the rows are [C | I] and a back substitution
+    clears every pivot column above its pivot, so the pivot rows are [R | U]
+    with U * C = R mod Q and R the identity on the pivot columns.
+    """
+    k = len(cand)
+    width = m + k if transform else m
+    cols, pivots = [], []
+    for i, row in enumerate(cand):
+        packed = _pack([a % Q for a in row])
+        if transform:
+            packed |= 1 << (64 * (m + i))
+        fields = _residues(_reduce(packed, cols, pivots), width)
+        col = next((j for j in range(m) if fields[j]), None)
+        if col is None:
+            return None
+        inverse = pow(fields[col], -1, Q)
+        cols.append(col)
+        pivots.append(_pack([v * inverse % Q for v in fields]))
+    if transform:
+        # pivot j > i is already zero on every other pivot column: clearing
+        # column cols[j] of row i disturbs none of them
+        for i in reversed(range(k)):
+            packed = _reduce(pivots[i], cols[i + 1 :], pivots[i + 1 :])
+            if packed != pivots[i]:
+                pivots[i] = _pack(_residues(packed, width))
+    return cols, pivots
+
+
+def _signed_packing(rows: list, words: int) -> list[int]:
+    """Each row r as the integer sum of r[j] * 2**(64 * words * j).
+
+    Every entry must lie in the signed range of its field.  An entry that
+    fits 64 bits goes through ``struct.pack`` into the low word of its
+    field, in two's complement: subtracting twice each field's bit 63 then
+    turns the word's value v + 2**64 back into v.  A column with a larger
+    entry is packed as zeros and its entries are added one by one.
+    """
+    if not rows:
+        return []
+    width = len(rows[0])
+    field = 64 * words
+    sign = int.from_bytes((bytes(7) + b"\x80" + bytes(8 * words - 8)) * width, "little")
+    # at one word every entry is below the bound, so below 2**63
+    wide = [j for j, column in enumerate(zip(*rows)) if max(map(abs, column)) >> 63] if words > 1 else []
+    out = []
+    for row in rows:
+        extra = 0
+        if wide:
+            row = list(row)
+            for j in wide:
+                extra += row[j] << (field * j)
+                row[j] = 0
+        low = struct.pack(f"<{width}q", *row)
+        if words > 1:
+            # each 8-byte word to the low word of its field, unread: no byte order involved
+            spread = bytearray(8 * words * width)
+            memoryview(spread).cast("Q")[::words] = memoryview(low).cast("Q")
+            low = spread
+        u = int.from_bytes(low, "little")
+        out.append(u - ((u & sign) << 1) + extra)
+    return out
+
+
+def _lifted_coordinates(t: tuple, cols: list, transform: list, k: int) -> tuple:
+    """y = sum_j t[c_j] * U_j mod Q, lifted to the symmetric range: t's coordinates if it is y * C."""
+    acc = sum((t[col] % Q) * u for col, u in zip(cols, transform))
+    return tuple(v - Q if v > Q // 2 else v for v in _residues(acc, k))
+
+
+def _modular_pass(cand: list, targets: list, m: int) -> dict | None:
+    """The coordinates of each target row in the candidate rows, proved exactly; None to fall back.
+
+    k pivots mod Q make the candidate rows independent over the rationals,
+    so each target has at most one rational coordinate vector.  The pivot rows
+    [R | U] have R the identity on the pivot columns c_j, so a target
+    t = y * C has y = sum_j t[c_j] * U_j mod Q.  Lifted to the symmetric
+    range, y is checked exactly, y * C = t, which proves it integral and
+    the target in the Z-span.  None when k exceeds _MAX_UPDATES (a field
+    takes at most k - 1 updates in the echelon and k terms in y), when
+    there are fewer than k pivots mod Q, or when a check fails.
+    """
+    k = len(cand)
+    if k > _MAX_UPDATES:
+        return None
+    echelon = _echelon_mod_q(cand, m, bool(targets))
+    if echelon is None:
+        return None
+    if not targets:
+        return {}
+    cols, pivots = echelon
+    transform = [pivot >> (64 * m) for pivot in pivots]
+    solved = {t: _lifted_coordinates(t, cols, transform, k) for t in targets}
+    # |(y * C - t)_j| <= |y|_1 * max|C| + max|t|: a signed field of that many
+    # words holds it, so the packing is injective on the differences
+    top = max((max(map(abs, row), default=0) for row in (*cand, *targets)), default=0)
+    bound = max(sum(map(abs, y)) for y in solved.values()) * top + top
+    words = (bound.bit_length() + 64) // 64
+    packed = _signed_packing(cand, words)
+    for t, P in zip(targets, _signed_packing(targets, words)):
+        if sum(c * row for c, row in zip(solved[t], packed) if c) != P:
+            return None
+    return solved
+
+
+def _hnf_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> VerificationReport:
+    """The Z-span decision by one HNF of [C | I]: every fail, and any pass the modular path leaves.
 
     Scaling C by s > 0 sends the reduced HNF [H | U] of [C | I] to [sH | U]:
     the row operations are the same, the pivots keep their positions, and
@@ -244,6 +386,30 @@ def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> Verifica
     # an integral combination of them, so the full rank is k
     rank_full = k if ok else len(hnf(int_rows))
     return VerificationReport(table, candidate_keys, ok, coordinates, rank_full, rank)
+
+
+def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> VerificationReport:
+    """The Z-span decision on integer rows, one per row key, at any one scale of the values.
+
+    A pass is decided mod Q and proved by the exact check y * C = t on
+    every distinct non-candidate row (``_modular_pass``); it reports the
+    unique coordinates and both ranks k.  Anything else, every fail
+    included, is decided by ``_hnf_span``, whose report is the same on
+    a pass.  Neither depends on the scale of the rows: a pass's
+    coordinates are the unique ones at any scale, and the HNF's report
+    is scale-free (see ``_hnf_span``).
+    """
+    chosen = set(candidate_keys)
+    by_key = dict(zip(row_keys, map(tuple, int_rows)))
+    cand = [by_key[key] for key in candidate_keys]
+    targets = list(dict.fromkeys(by_key[key] for key in row_keys if key not in chosen))
+    m = len(int_rows[0]) if int_rows else 0
+    solved = _modular_pass(cand, targets, m)
+    if solved is None:
+        return _hnf_span(candidate_keys, row_keys, int_rows, table)
+    coordinates = {key: solved[by_key[key]] for key in row_keys if key not in chosen}
+    k = len(candidate_keys)
+    return VerificationReport(table, candidate_keys, True, coordinates, k, k)
 
 
 def z_span_equal(candidate_keys, matrix: ValueMatrix) -> VerificationReport:

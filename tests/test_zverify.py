@@ -546,3 +546,169 @@ class TestFaultInjection:
         assert [r["rank"] for r in results] == [len(hnf(faulty_table(b).rows)) for b in blocks]
         assert any(not verify_basic_set(b).verdict for b in blocks)
         assert any(r["rank"] != r["basic_set_size"] for r in results)
+
+
+def hnf_report(candidate_keys, row_keys, int_rows, table=None):
+    """The Z-span report of the HNF decision alone, the oracle of the modular pass path."""
+    return zverify._hnf_span(tuple(candidate_keys), tuple(row_keys), int_rows, table)
+
+
+def counting(monkeypatch, name):
+    """Wrap zverify.<name> to count its calls; returns the counter."""
+    calls = []
+    real = getattr(zverify, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(zverify, name, wrapped)
+    return calls
+
+
+def refuse(*_):
+    raise AssertionError("a pass must not reach the HNF")
+
+
+class TestModularPass:
+    """A pass is decided mod Q and proved by y * C = t; the HNF decides the rest, with the same reports."""
+
+    def test_every_small_block_passes_without_the_hnf_and_matches_it(self, monkeypatch):
+        blocks = 0
+        for group in (SYM, ALT):
+            for p in (3, 5, 7):
+                for n in range(1, 17):
+                    for b, _ in block_partition(group, n, p):
+                        table = block_table(b)
+                        oracle = hnf_report(basic_set(b), table.row_keys, table.rows, table)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(zverify, "hnf", refuse)
+                            assert verify_basic_set(b) == oracle, b
+                        blocks += 1
+        assert blocks == 284
+
+    def test_random_span_cases_match_the_hnf_path(self):
+        for cand, target in random_span_cases():
+            rows = cand + [target]
+            keys = tuple(range(len(rows)))
+            cands = keys[: len(cand)]
+            assert zverify._z_span(cands, keys, rows, None) == hnf_report(cands, keys, rows)
+
+    @given(integer_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices_match_the_hnf_path(self, rows, data):
+        k = data.draw(st.integers(0, len(rows)))
+        keys = tuple(range(len(rows)))
+        assert zverify._z_span(keys[:k], keys, rows, None) == hnf_report(keys[:k], keys, rows)
+
+    def test_deep_grid_passes_without_the_hnf(self, monkeypatch):
+        monkeypatch.setattr(zverify, "hnf", refuse)
+        monkeypatch.setattr(zverify, "integral_coordinates", refuse)
+        blocks = 0
+        for group, n, p in ((SYM, 25, 5), (ALT, 29, 3)):
+            for b, _ in block_partition(group, n, p):
+                rep = verify_basic_set(b)
+                k = len(basic_set(b))
+                assert rep.verdict and rep.rank_full == rep.rank_candidate == k == brauer_count(b), b
+                blocks += 1
+        assert blocks == 11
+
+    def test_signed_packing_of_one_two_and_three_words(self):
+        rng = random.Random(11)
+        for words in (1, 2, 3):
+            top = 2 ** (64 * words - 1) - 1
+            rows = [[top, -top, 0, -1, 1, 2**63, -(2**63)], [rng.randint(-top, top) for _ in range(7)]]
+            if words == 1:
+                rows = [[max(-top, min(top, a)) for a in row] for row in rows]
+            packed = zverify._signed_packing(rows, words)
+            assert packed == [sum(a << (64 * words * j) for j, a in enumerate(row)) for row in rows]
+
+    def test_large_entries_take_more_words(self, monkeypatch):
+        # words are the fewest whose signed fields hold |y|_1 * max|C| + max|C|
+        cases = [
+            ([[2**60, 1, 0], [3, 2**20, -5], [0, 7, 1]], (1, -2, 3), 1),
+            ([[2**61, 1, 0], [3, 2**20, -5], [0, 7, 1]], (1, -2, 3), 2),
+            ([[2**100, 1, 0], [3, 2**20, -5], [0, 7, 1]], (5, 0, -1), 2),
+            ([[2**100, 1, 0], [3, 2**20, -5], [0, 7, 1]], (2**40, 1, 1), 3),
+            ([[2**100, 1, 0], [3, 2**130, -5], [0, 7, 1]], (1, -2, 3), 3),
+        ]
+        for cand, y, words in cases:
+            used = counting(monkeypatch, "_signed_packing")
+            target = [sum(c * row[j] for c, row in zip(y, cand)) for j in range(3)]
+            rows = cand + [target]
+            keys = (0, 1, 2, 3)
+            rep = zverify._z_span(keys[:3], keys, rows, None)
+            assert rep.verdict and rep.coordinates == {3: y}
+            assert rep == hnf_report(keys[:3], keys, rows)
+            assert {args[1] for args in used} == {words}
+            monkeypatch.undo()
+
+    def test_small_modulus_dividing_a_minor_falls_back(self, monkeypatch):
+        # det [[1, 1], [1, 4]] = 3: mod 3 the candidates have one pivot, over Z they are a basis
+        rows = [[1, 1], [1, 4], [2, 5]]
+        keys = (0, 1, 2)
+        honest = zverify._z_span(keys[:2], keys, rows, None)
+        assert honest.verdict and honest.coordinates == {2: (1, 1)}
+        monkeypatch.setattr(zverify, "Q", 3)
+        assert zverify._echelon_mod_q(rows[:2], 2, True) is None
+        calls = counting(monkeypatch, "hnf")
+        assert zverify._z_span(keys[:2], keys, rows, None) == honest
+        assert calls
+
+    def test_coordinates_off_by_the_modulus_fail_the_exact_check(self, monkeypatch):
+        real = zverify._lifted_coordinates
+        checked = 0
+        for shift in (zverify.Q, -zverify.Q):
+
+            def corrupted(*args):
+                y = real(*args)
+                return (y[0] + shift, *y[1:])
+
+            for b in small_blocks(1):
+                table = block_table(b)
+                cand = set(basic_set(b))
+                targets = list(dict.fromkeys(r for x, r in zip(table.row_keys, table.rows) if x not in cand))
+                if not targets:
+                    continue
+                honest = verify_basic_set(b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(zverify, "_lifted_coordinates", corrupted)
+                    C = [table.rows[table.row_keys.index(x)] for x in basic_set(b)]
+                    assert zverify._modular_pass(C, targets, len(table.columns)) is None, b
+                    calls = counting(patch, "hnf")
+                    assert verify_basic_set(b) == honest and calls, b
+                checked += 1
+        assert checked == 2 * 36
+
+    def test_target_outside_the_span_prints_the_hnf_fail(self, capsys, monkeypatch):
+        from spinbars import cli
+
+        real_table = zverify.block_table
+
+        def faulty_table(b):
+            table = real_table(b)
+            others = [x for x in table.row_keys if x not in set(basic_set(b))]
+            return perturbed(table, others[0], 0, b.p) if others else table
+
+        monkeypatch.setattr(zverify, "block_table", faulty_table)
+        argv = ["verify", "--group", "sym", "--n", "10", "--p", "3"]
+        # a fail exits 1
+        assert cli.run(argv) == 1
+        modular = capsys.readouterr().out
+        monkeypatch.setattr(zverify, "_modular_pass", lambda *_: None)
+        assert cli.run(argv) == 1
+        assert modular == capsys.readouterr().out
+        assert '"fail":2' in modular
+
+    def test_update_limit_below_k_falls_back(self, monkeypatch):
+        monkeypatch.setattr(zverify, "_MAX_UPDATES", 1)
+        fell_back = 0
+        for b in small_blocks(1):
+            table = block_table(b)
+            with monkeypatch.context() as patch:
+                calls = counting(patch, "hnf")
+                rep = verify_basic_set(b)
+            assert rep == hnf_report(basic_set(b), table.row_keys, table.rows, table), b
+            assert bool(calls) == (len(basic_set(b)) > 1), b
+            fell_back += bool(calls)
+        assert fell_back > 0
