@@ -44,12 +44,8 @@ class AlgNum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        clean = {}
-        for (d, e), c in dict(terms).items():
-            c = Fraction(c)
-            if c:
-                clean[(d, e)] = clean.get((d, e), Fraction(0)) + c
-        self._terms = tuple(sorted((k, v) for k, v in clean.items() if v))
+        # dict(terms) holds one coefficient per unit: only the zeros are dropped
+        self._terms = tuple(sorted(((d, e), f) for (d, e), c in dict(terms).items() if (f := Fraction(c))))
 
     @classmethod
     def from_rational(cls, q) -> AlgNum:

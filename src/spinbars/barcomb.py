@@ -9,7 +9,6 @@ p-core/p-quotient needed by the doubling test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import le, lt
 
 
@@ -303,21 +302,17 @@ def bar_removals(parts: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], 
 def delta_bar(lam: BarPartition, p: int) -> int:
     """Relative sign: parity of the total leg length over a p-bar removal chain.
 
-    Independent of the removal order (a tested invariant); +1 on p-bar cores.
+    Follows one chain, the first removal at each step, down to the p-bar
+    core.  Independent of the removal order (a tested invariant); +1 on
+    p-bar cores.
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    return _delta_bar(lam.parts, p)
-
-
-# 789 entries for every label of alt n=30 at p=3
-@lru_cache(maxsize=1 << 14)
-def _delta_bar(parts: tuple[int, ...], p: int) -> int:
-    moves = bar_removals(parts, p)
-    if not moves:
-        return 1
-    rest, leg = moves[0]
-    return (-1) ** leg * _delta_bar(rest, p)
+    sign, parts = 1, lam.parts
+    while moves := bar_removals(parts, p):
+        parts, leg = moves[0]
+        sign *= (-1) ** leg
+    return sign
 
 
 def doubling(lam: BarPartition) -> Partition:

@@ -204,7 +204,7 @@ def _odd_column(pi: tuple[int, ...]) -> dict[int, int]:
     value, doubled when it goes from a pair label (sigma(mu) = -1) to a
     self-associate one; that happens exactly when mu has sigma -1 and the
     bar is not a new part r, since those two moves flip sigma and the new
-    part keeps it.  Cached; safe under concurrent use.
+    part keeps it.  An lru_cache bounded at 16,384 columns.
     """
     if not pi:
         return {0: 1}
@@ -299,11 +299,11 @@ def half_columns(rows: tuple[SpinLabel, ...], c: SplitClass) -> dict[tuple[int, 
                 h *= 2
             else:
                 h, unit = _root_term(m // 2, math.prod(pi))
+            # never cancels: an alt pair's odd part on its own class is +-1,
+            # and the closed form shares the unit (1, 0) only with |h| >= 3
             col = out.setdefault(unit, [0] * len(rows))
             for r, tag in pair:
                 col[r] += -h if (tag == MINUS) ^ (c.branch == 2) else h
-            if not any(col):  # the closed form cancelled an alt pair's odd part
-                del out[unit]
     return out
 
 

@@ -243,23 +243,21 @@ def _reduce(packed: int, cols, pivots) -> int:
     return packed
 
 
-def _echelon_mod_q(cand: list, m: int, transform: bool):
-    """Gauss-Jordan echelon of the candidate rows mod Q; None below k pivots.
+def _echelon_mod_q(cand: list, m: int):
+    """Gauss-Jordan echelon of [C | I] mod Q for the candidate rows C; None below k pivots.
 
     Returns (pivot columns, packed pivot rows).  Each row is reduced by the
     earlier pivots with lazy updates ``row += (Q - e) * pivot`` on its packed
     form, and is unpacked, scaled to pivot 1 and repacked once it becomes a
-    pivot.  With ``transform``, the rows are [C | I] and a back substitution
-    clears every pivot column above its pivot, so the pivot rows are [R | U]
-    with U * C = R mod Q and R the identity on the pivot columns.
+    pivot.  A back substitution then clears every pivot column above its
+    pivot, so the pivot rows are [R | U] with U * C = R mod Q and R the
+    identity on the pivot columns.
     """
     k = len(cand)
-    width = m + k if transform else m
+    width = m + k
     cols, pivots = [], []
     for i, row in enumerate(cand):
-        packed = _pack([a % Q for a in row])
-        if transform:
-            packed |= 1 << (64 * (m + i))
+        packed = _pack([a % Q for a in row]) | 1 << (64 * (m + i))
         fields = _residues(_reduce(packed, cols, pivots), width)
         col = next((j for j in range(m) if fields[j]), None)
         if col is None:
@@ -267,13 +265,12 @@ def _echelon_mod_q(cand: list, m: int, transform: bool):
         inverse = pow(fields[col], -1, Q)
         cols.append(col)
         pivots.append(_pack([v * inverse % Q for v in fields]))
-    if transform:
-        # pivot j > i is already zero on every other pivot column: clearing
-        # column cols[j] of row i disturbs none of them
-        for i in reversed(range(k)):
-            packed = _reduce(pivots[i], cols[i + 1 :], pivots[i + 1 :])
-            if packed != pivots[i]:
-                pivots[i] = _pack(_residues(packed, width))
+    # pivot j > i is already zero on every other pivot column: clearing
+    # column cols[j] of row i disturbs none of them
+    for i in reversed(range(k)):
+        packed = _reduce(pivots[i], cols[i + 1 :], pivots[i + 1 :])
+        if packed != pivots[i]:
+            pivots[i] = _pack(_residues(packed, width))
     return cols, pivots
 
 
@@ -301,13 +298,10 @@ def _signed_packing(rows: list, words: int) -> list[int]:
             for j in wide:
                 extra += row[j] << (field * j)
                 row[j] = 0
-        low = struct.pack(f"<{width}q", *row)
-        if words > 1:
-            # each 8-byte word to the low word of its field, unread: no byte order involved
-            spread = bytearray(8 * words * width)
-            memoryview(spread).cast("Q")[::words] = memoryview(low).cast("Q")
-            low = spread
-        u = int.from_bytes(low, "little")
+        # each 8-byte word to the low word of its field, unread: no byte order involved
+        spread = bytearray(8 * words * width)
+        memoryview(spread).cast("Q")[::words] = memoryview(struct.pack(f"<{width}q", *row)).cast("Q")
+        u = int.from_bytes(spread, "little")
         out.append(u - ((u & sign) << 1) + extra)
     return out
 
@@ -333,10 +327,11 @@ def _modular_pass(cand: list, targets: list, m: int) -> dict | None:
     k = len(cand)
     if k > _MAX_UPDATES:
         return None
-    echelon = _echelon_mod_q(cand, m, bool(targets))
+    echelon = _echelon_mod_q(cand, m)
     if echelon is None:
         return None
     if not targets:
+        # k pivots and nothing to solve: a pass with no check to run
         return {}
     cols, pivots = echelon
     transform = [pivot >> (64 * m) for pivot in pivots]
@@ -369,19 +364,9 @@ def _hnf_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> Verifi
     cand = [list(by_key[key]) for key in candidate_keys]
     H = hnf([row + [int(i == j) for j in range(k)] for i, row in enumerate(cand)])
     rank = sum(1 for row in H if any(row[:m]))
-    ok = rank == k
     chosen = set(candidate_keys)
-    # equal rows have equal coordinates: each distinct row is solved once
-    coordinates, solved = {}, {}
-    for key in row_keys:
-        if key in chosen:
-            continue
-        row = tuple(by_key[key])
-        if row not in solved:
-            solved[row] = integral_coordinates(row, H, m)
-        coords = coordinates[key] = solved[row]
-        if coords is None:
-            ok = False
+    coordinates = {key: integral_coordinates(by_key[key], H, m) for key in row_keys if key not in chosen}
+    ok = rank == k and None not in coordinates.values()
     # on a pass the k candidate rows are independent and every other row is
     # an integral combination of them, so the full rank is k
     rank_full = k if ok else len(hnf(int_rows))

@@ -3,7 +3,15 @@ from types import SimpleNamespace
 import pytest
 
 from spinbars import barcomb, blocks, isometry
-from spinbars.barcomb import BarPartition, bar_core_quotient
+from spinbars.barcomb import (
+    BarPartition,
+    bar_core_quotient,
+    bar_partitions,
+    delta_bar,
+    from_core_quotient,
+    is_bar_core,
+    partitions,
+)
 from spinbars.blocks import (
     SIDE_G,
     SIDE_H,
@@ -225,3 +233,32 @@ class TestBrauerCount:
             for n in range(1, 12):
                 for b, _ in block_partition(group, n, p):
                     assert brauer_count(b) == len(basic_set(b)), b
+
+
+EMPTY = BarPartition(())
+QUOTIENT_P3 = bar_core_quotient(BarPartition((3,)), 3)[1]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: bar_partitions(-1), "n must be non-negative", id="bar_partitions-n"),
+        pytest.param(lambda: partitions(-1), "n must be non-negative", id="partitions-n"),
+        pytest.param(lambda: is_bar_core(EMPTY, 9), "odd prime", id="is_bar_core-p"),
+        pytest.param(lambda: from_core_quotient(EMPTY, QUOTIENT_P3, 9), "odd prime", id="from_core_quotient-p"),
+        pytest.param(
+            lambda: from_core_quotient(EMPTY, QUOTIENT_P3, 5), "built for p=3", id="from_core_quotient-quotient"
+        ),
+        pytest.param(lambda: delta_bar(BarPartition((3,)), 9), "odd prime", id="delta_bar-p"),
+        pytest.param(lambda: BlockId(SYM, 3, EMPTY, -1), "weight must be non-negative", id="BlockId-weight"),
+        pytest.param(lambda: LocalLabel("X", QUOTIENT_P3, SELF), "unknown side", id="LocalLabel-side"),
+        pytest.param(lambda: local_basic_labels(-1, 3, SIDE_G), "w must be non-negative", id="local_basic_labels-w"),
+        pytest.param(lambda: local_basic_labels(1, 9, SIDE_G), "odd prime", id="local_basic_labels-p"),
+        pytest.param(lambda: local_basic_labels(1, 3, "X"), "unknown side", id="local_basic_labels-side"),
+        pytest.param(lambda: labels(SYM, 0), "n must be positive", id="labels-n"),
+        pytest.param(lambda: split_classes(0), "n must be positive", id="split_classes-n"),
+    ],
+)
+def test_public_guards_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

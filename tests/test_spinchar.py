@@ -289,6 +289,32 @@ class TestValueColumns:
         assert messages == [str(exc.value)] * 2
 
 
+    def test_closed_form_never_cancels_an_alternating_pair(self):
+        # an odd strict lam has sign +1, so on the alternating cover it labels a pair
+        # and its type is two classes, both odd and strict: the closed form adds h to
+        # the odd part, which is +-1, and shares its unit (1, 0) only with |h| >= 3
+        from spinbars.spinchar import _odd_value, _root_term
+
+        types = 0
+        for n in range(2, 31):
+            for lam in bar_partitions(n):
+                pi = lam.parts
+                if not is_odd_type(pi):
+                    continue
+                assert _odd_value(pi, pi) in (1, -1), pi
+                h, unit = _root_term((n - len(pi)) // 2, math.prod(pi))
+                if unit == (1, 0):
+                    assert abs(h) >= 3, pi
+                classes = [c for c in split_classes(n, group=ALT) if c.pi == pi]
+                assert [c.branch for c in classes] == [1, 2], pi
+                for tag in (PLUS, MINUS):
+                    x = SpinLabel(ALT, lam, tag)
+                    for c in classes:
+                        assert all(any(col) for col in half_columns((x,), c).values()), (x, c)
+                types += 1
+        assert types == 179
+
+
 class TestAgainstQOracle:
     def test_values_n_le_5(self):
         for n in range(6):

@@ -500,7 +500,7 @@ class TestFaultInjection:
         assert solved > 0
 
     def test_perturbing_one_of_two_equal_targets(self, monkeypatch):
-        # equal rows share one integral_coordinates call: a perturbed twin must get its own
+        # the pass path solves equal rows once: a perturbed twin must get its own coordinates
         rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 0]]
         m = make_matrix([[num(v) for v in row] for row in rows])
         assert z_span_equal(("r0", "r1"), m).coordinates == {"r2": (1, 1), "r3": (1, 1)}
@@ -650,7 +650,7 @@ class TestModularPass:
         honest = zverify._z_span(keys[:2], keys, rows, None)
         assert honest.verdict and honest.coordinates == {2: (1, 1)}
         monkeypatch.setattr(zverify, "Q", 3)
-        assert zverify._echelon_mod_q(rows[:2], 2, True) is None
+        assert zverify._echelon_mod_q(rows[:2], 2) is None
         calls = counting(monkeypatch, "hnf")
         assert zverify._z_span(keys[:2], keys, rows, None) == honest
         assert calls
