@@ -8,11 +8,9 @@ are linearly independent over Q, so equality is coefficient-wise and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
 
-# 77 entries measured on verify alt n=25 p=11
-@lru_cache(maxsize=1 << 12)
 def squarefree_split(m: int) -> tuple[int, int]:
     """m = s**2 * d with d squarefree; returns (s, d).  Requires m >= 1."""
     if m < 1:
@@ -33,9 +31,9 @@ def squarefree_split(m: int) -> tuple[int, int]:
 def unit_product(k: tuple[int, int], l: tuple[int, int]) -> tuple[int, tuple[int, int]]:
     """(c, key) with u_k * u_l = c * u_key for the basis units u_(d, e) = sqrt(d) * i^e."""
     (d1, e1), (d2, e2) = k, l
-    # sqrt(d1)*sqrt(d2) = s*sqrt(d1*d2/s^2) with s = gcd(d1, d2)
-    s, d = squarefree_split(d1 * d2)
-    return (-s if e1 and e2 else s), (d, (e1 + e2) % 2)
+    # d1 and d2 are squarefree, so sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(d1, d2)
+    g = gcd(d1, d2)
+    return (-g if e1 and e2 else g), ((d1 // g) * (d2 // g), (e1 + e2) % 2)
 
 
 class AlgNum:

@@ -5,42 +5,38 @@ isometry sends each label to the local label of its quotient, on the
 block's local side (``blocks.local_side``), with the sign prescribed by the
 relative sign and the size of the strict component, and it reads each
 quotient from the block map (``blocks.block_quotients``).
-Kernels are two-variable class functions over split-class representatives;
-composition weights classes by their sizes.  A split class x stands for x
-and zx: mu(zx, y) = mu(x, zy) = -mu(x, y), and zx has x's centralizer order
-and p-regularity, so Broué's conditions on x's cells decide zx's.  Kernels
-are computed on the block's integer value table (``zverify.split_table``:
-twice each value's coefficients over the units sqrt(d) * i^e), and a
-``Kernel`` keeps them that way: integer cell sums over one denominator
-(4 for a kernel of two such tables), nonzero cells only.  AlgNum appears
-only in ``Kernel.value``, ``Kernel.table``, ``Kernel.from_table`` and
-``compose_kernel``, for API callers and the oracles.  Broué's integrality
-condition (i) compares integer valuations at p of each stored cell and of
-the centralizer orders; his separation condition (ii) is the kernel's
-support, and on a block it is equivalent to the isometry commuting with
-restriction to p-regular classes, so ``perfect_check`` reads perfectness
-off the same kernel.  A pair swap's Broué report is its block's identity
-report: J_lam = id - delta (x) conj(delta) with delta = chi+ - chi-
-negates the one cell (c, c) of the identity kernel at the split class c of
-type lam, whose row and column are otherwise zero, and neither condition
-sees a sign, so ``swap_reports`` checks the identity kernel once.
+Kernels are two-variable class functions over split-class representatives.
+A split class x stands for x and zx: mu(zx, y) = mu(x, zy) = -mu(x, y), and
+zx has x's centralizer order and p-regularity, so Broué's conditions on x's
+cells decide zx's.  Kernels are computed on the block's integer value table
+(``zverify.split_table``: twice each value's coefficients over the units
+sqrt(d) * i^e), and a ``Kernel`` keeps them that way, and in no other form:
+integer cell sums over one denominator (4 for a kernel of two such tables),
+nonzero cells only.  Broué's integrality condition (i) compares integer
+valuations at p of each stored cell and of the centralizer orders; his
+separation condition (ii) is the kernel's support, and on a block it is
+equivalent to the isometry commuting with restriction to p-regular classes,
+so ``perfect_check`` reads perfectness off the same kernel.  A pair swap's
+Broué report is its block's identity report: J_lam = id - delta (x)
+conj(delta) with delta = chi+ - chi- negates the one cell (c, c) of the
+identity kernel at the split class c of type lam, whose row and column are
+otherwise zero, and neither condition sees a sign, so ``swap_reports``
+checks the identity kernel once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from types import MappingProxyType
 
-from .algnum import ZERO, AlgNum, unit_product
+from .algnum import unit_product
 from .barcomb import delta_bar, sigma
 from .blocks import (
     BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels, local_side,
 )
-from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, split_classes
+from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, char_value, split_classes
 from .zverify import IntegerTable, ValueMatrix, split_table
 
 
@@ -127,10 +123,11 @@ class Kernel:
 
     ``cells`` maps (source index, target index) to the entry's integer
     coefficients {(d, e): c} over the units sqrt(d) * i^e, all over the one
-    denominator ``den``.  Only nonzero cells are stored, and only their
-    nonzero coefficients.  The kernel keeps a read-only copy of the cell
-    map; the cells themselves are never changed.  Two kernels are equal
-    when their classes and values are, whatever their denominators.
+    positive denominator ``den``.  Only nonzero cells are stored, and only
+    their nonzero coefficients: the kernel keeps a read-only copy of the
+    given cells without their zeros, so equal kernels store the same cells.
+    Two kernels are equal when their classes and values are, whatever
+    their denominators.
     """
 
     source_classes: tuple
@@ -139,46 +136,23 @@ class Kernel:
     den: int
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+        if self.den < 1:
+            raise ValueError(f"a kernel's denominator is a positive integer, not {self.den}")
+        cells = {ij: kept for ij, cell in self.cells.items() if (kept := {key: c for key, c in cell.items() if c})}
+        object.__setattr__(self, "cells", MappingProxyType(cells))
 
     def __eq__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
-        return (self.source_classes, self.target_classes, self.table) == (
-            other.source_classes,
-            other.target_classes,
-            other.table,
+        # a / den == b / other.den exactly when a * other.den == b * den
+        return (self.source_classes, self.target_classes) == (other.source_classes, other.target_classes) and (
+            {ij: {key: c * other.den for key, c in cell.items()} for ij, cell in self.cells.items()}
+            == {ij: {key: c * self.den for key, c in cell.items()} for ij, cell in other.cells.items()}
         )
 
     def __hash__(self):
-        return hash((self.source_classes, self.target_classes, self.table))
-
-    @classmethod
-    def from_table(cls, source_classes, target_classes, table) -> Kernel:
-        """The kernel of a dense table of AlgNum entries, over their common denominator."""
-        den = lcm(1, *(c.denominator for row in table for v in row for _, c in v.terms))
-        cells = {
-            (i, j): {key: int(c * den) for key, c in v.terms}
-            for i, row in enumerate(table)
-            for j, v in enumerate(row)
-            if v
-        }
-        return cls(tuple(source_classes), tuple(target_classes), cells, den)
-
-    def _entry(self, cell: dict) -> AlgNum:
-        return AlgNum({key: Fraction(c, self.den) for key, c in cell.items()})
-
-    def value(self, x: SplitClass, y: SplitClass) -> AlgNum:
-        cell = self.cells.get((self.source_classes.index(x), self.target_classes.index(y)))
-        return self._entry(cell) if cell else ZERO
-
-    @cached_property
-    def table(self) -> tuple:
-        """The dense table of AlgNum entries, table[i][j] over source x target classes."""
-        table = [[ZERO] * len(self.target_classes) for _ in self.source_classes]
-        for (i, j), cell in self.cells.items():
-            table[i][j] = self._entry(cell)
-        return tuple(map(tuple, table))
+        # equal kernels store the same nonzero cells, whatever their denominators
+        return hash((self.source_classes, self.target_classes, frozenset(self.cells)))
 
 
 def split_value_matrix(block: BlockId) -> ValueMatrix:
@@ -209,8 +183,6 @@ def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> 
                     c = -c
                 cell = cells.setdefault((i, j), {})
                 cell[key] = cell.get(key, 0) + c * total
-    # drop the cancelled coefficients, and the cells left empty
-    cells = {ij: kept for ij, cell in cells.items() if (kept := {key: a for key, a in cell.items() if a})}
     return Kernel(source.classes, target.classes, cells, 4)  # both tables hold twice each value
 
 
@@ -221,22 +193,6 @@ def block_kernel(iso: IsometrySpec, block: BlockId) -> Kernel:
             raise UnsupportedTargetError("kernel needs character values on both sides")
     table = split_table(block)
     return kernel_of(iso, table, table)
-
-
-def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
-    """Kernel of the composition, averaging over the middle classes: y and zy, so twice y's term."""
-    if a.target_classes != b.source_classes:
-        raise ValueError("middle class lists do not match")
-    table = []
-    for i in range(len(a.source_classes)):
-        row = []
-        for k in range(len(b.target_classes)):
-            total = AlgNum()
-            for j, y in enumerate(a.target_classes):
-                total = total + a.table[i][j] * b.table[j][k] * Fraction(2, y.centralizer_order)
-            row.append(total)
-        table.append(tuple(row))
-    return Kernel.from_table(a.source_classes, b.target_classes, table)
 
 
 @dataclass(frozen=True)

@@ -239,11 +239,6 @@ def _odd_column(pi: tuple[int, ...]) -> dict[int, int]:
     return {lam: v for lam, v in out.items() if v}
 
 
-def _odd_value(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
-    """Common value of the labelled spin character(s) on the class of odd type pi."""
-    return _odd_column(pi).get(_bits(parts), 0)
-
-
 def _root_term(m: int, k: int) -> tuple[int, tuple[int, int]]:
     """(c, (d, e)) with i**m * sqrt(k) = c * sqrt(d) * i**e, d squarefree; k >= 1."""
     s, d = squarefree_split(k)
@@ -322,31 +317,5 @@ def char_value(x: SpinLabel, c: SplitClass) -> AlgNum:
 
 
 def degree(x: SpinLabel) -> int:
-    """Character degree: the value at the identity class."""
-    d = _odd_value(x.lam.parts, (1,) * x.n)
-    if x.group == ALT and x.tag != SELF:
-        if d % 2:
-            raise RuntimeError(f"odd degree {d} for the pair constituent {x}")
-        return d // 2
-    return d
-
-
-def value_vector(x: SpinLabel, classes: tuple[SplitClass, ...]) -> tuple[AlgNum, ...]:
-    return tuple(char_value(x, c) for c in classes)
-
-
-def inner_product(
-    f: tuple[AlgNum, ...], g: tuple[AlgNum, ...], classes: tuple[SplitClass, ...]
-) -> Fraction:
-    """Hermitian inner product of two spin value vectors over a class list.
-
-    Class sizes enter through the stored centralizer orders.  Spin
-    characters vanish off the split classes, and x stands for x and zx, where
-    both values change sign, so x's term counts twice in the group average.
-    """
-    if not (len(f) == len(g) == len(classes)):
-        raise ValueError("vectors and class list must have equal length")
-    total = AlgNum()
-    for vf, vg, c in zip(f, g, classes):
-        total = total + vf * vg.conjugate() * Fraction(2, c.centralizer_order)
-    return total.as_rational()
+    """Character degree: the value at the identity class, the last split class."""
+    return half_coefficients(x, split_classes(x.n, group=x.group)[-1])[(1, 0)] // 2

@@ -7,10 +7,11 @@ the library replaced stay here as references: trial division for
 primality, a scan over every label for block members, an integer
 expansion with every class x key column, the Z-span decision with a
 separate unimodular transform and a k x k coordinate product, the
-isometry kernel and perfectness check in AlgNum arithmetic, and the Broué
-check coefficient by coefficient in Fraction arithmetic, the local basic
-labels from dense tuples of all (p - 1)/2 components, and the Brauer count
-as a tuple count doubled by a parity/sign/group rule, the odd-type character
+isometry kernel, its dense AlgNum table, kernel composition and the
+perfectness check in AlgNum arithmetic, character inner products over
+AlgNum value vectors, and the Broué check coefficient by coefficient in
+Fraction arithmetic, the local basic labels from dense tuples of all
+(p - 1)/2 components, and the Brauer count as a tuple count doubled by a parity/sign/group rule, the odd-type character
 values by the bar-strip removal recursion, the value rule one cell at a
 time, and the split classes by a filter over every partition.
 ``expand_z`` writes a kernel over the library's split classes out over
@@ -29,11 +30,13 @@ from itertools import product
 from math import lcm, prod
 
 from spinbars import cli, spinchar
-from spinbars.algnum import AlgNum
+from spinbars.algnum import ZERO, AlgNum
 from spinbars.barcomb import BarPartition, BarQuotient, bar_removals, partitions
 from spinbars.blocks import SIDE_G, LocalLabel, block_of
 from spinbars.isometry import BroueReport, Kernel, split_value_matrix
-from spinbars.spinchar import MINUS, PLUS, SELF, SYM, SplitClass, is_odd_type, is_strict, labels, z_cycle
+from spinbars.spinchar import (
+    MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, is_odd_type, is_strict, labels, z_cycle,
+)
 from spinbars.zverify import ValueMatrix
 
 
@@ -437,6 +440,74 @@ def z_span_by_transform(candidate_keys, row_keys, int_rows) -> tuple[bool, dict,
     return ok, coordinates, len(_hnf_with_transform(int_rows)[0]), rank
 
 
+def _kernel_entry(kernel: Kernel, cell: dict) -> AlgNum:
+    return AlgNum({key: Fraction(c, kernel.den) for key, c in cell.items()})
+
+
+def kernel_table(kernel: Kernel) -> tuple:
+    """The dense table of AlgNum entries, table[i][j] over source x target classes."""
+    table = [[ZERO] * len(kernel.target_classes) for _ in kernel.source_classes]
+    for (i, j), cell in kernel.cells.items():
+        table[i][j] = _kernel_entry(kernel, cell)
+    return tuple(map(tuple, table))
+
+
+def kernel_value(kernel: Kernel, x, y) -> AlgNum:
+    """The kernel's AlgNum entry at the source class x and the target class y."""
+    cell = kernel.cells.get((kernel.source_classes.index(x), kernel.target_classes.index(y)))
+    return _kernel_entry(kernel, cell) if cell else ZERO
+
+
+def kernel_from_table(source_classes, target_classes, table) -> Kernel:
+    """The kernel of a dense table of AlgNum entries, over their common denominator."""
+    den = lcm(1, *(c.denominator for row in table for v in row for _, c in v.terms))
+    cells = {
+        (i, j): {key: int(c * den) for key, c in v.terms}
+        for i, row in enumerate(table)
+        for j, v in enumerate(row)
+        if v
+    }
+    return Kernel(tuple(source_classes), tuple(target_classes), cells, den)
+
+
+def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
+    """Kernel of the composition, averaging over the middle classes: y and zy, so twice y's term."""
+    if a.target_classes != b.source_classes:
+        raise ValueError("middle class lists do not match")
+    ta, tb = kernel_table(a), kernel_table(b)
+    table = []
+    for i in range(len(a.source_classes)):
+        row = []
+        for k in range(len(b.target_classes)):
+            total = AlgNum()
+            for j, y in enumerate(a.target_classes):
+                total = total + ta[i][j] * tb[j][k] * Fraction(2, y.centralizer_order)
+            row.append(total)
+        table.append(tuple(row))
+    return kernel_from_table(a.source_classes, b.target_classes, table)
+
+
+def value_vector(x: SpinLabel, classes: tuple[SplitClass, ...]) -> tuple[AlgNum, ...]:
+    return tuple(char_value(x, c) for c in classes)
+
+
+def inner_product(
+    f: tuple[AlgNum, ...], g: tuple[AlgNum, ...], classes: tuple[SplitClass, ...]
+) -> Fraction:
+    """Hermitian inner product of two spin value vectors over a class list.
+
+    Class sizes enter through the stored centralizer orders.  Spin
+    characters vanish off the split classes, and x stands for x and zx, where
+    both values change sign, so x's term counts twice in the group average.
+    """
+    if not (len(f) == len(g) == len(classes)):
+        raise ValueError("vectors and class list must have equal length")
+    total = AlgNum()
+    for vf, vg, c in zip(f, g, classes):
+        total = total + vf * vg.conjugate() * Fraction(2, c.centralizer_order)
+    return total.as_rational()
+
+
 def kernel_of_algnum(iso, source_values, target_values) -> Kernel:
     """Kernel table summed entry by entry in AlgNum arithmetic."""
     terms = [
@@ -452,7 +523,7 @@ def kernel_of_algnum(iso, source_values, target_values) -> Kernel:
                 total = total + vs[i] * vt[j]
             row.append(total)
         table.append(tuple(row))
-    return Kernel.from_table(source_values.classes, target_values.classes, table)
+    return kernel_from_table(source_values.classes, target_values.classes, table)
 
 
 def perfect_check_algnum(iso, p: int, block) -> bool:
@@ -499,9 +570,10 @@ def broue_check_by_coefficients(kernel, p: int) -> BroueReport:
     """Broué's two conditions, dividing every coefficient of every entry by each class's order."""
     bad_i = []
     bad_ii = []
+    table = kernel_table(kernel)
     for i, x in enumerate(kernel.source_classes):
         for j, y in enumerate(kernel.target_classes):
-            v = kernel.table[i][j]
+            v = table[i][j]
             if not all(
                 _valuation(c / z.centralizer_order, p) >= 0
                 for c in v.coefficients().values()

@@ -38,11 +38,9 @@ from spinbars.spinchar import (
     char_value,
     labels,
     split_classes,
-    inner_product,
-    value_vector,
 )
 from spinbars.zverify import block_table, hnf, restricted_matrix, verify_basic_set
-from oracles import brauer_count_closed_form, expand_z
+from oracles import brauer_count_closed_form, expand_z, inner_product, kernel_value, value_vector
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -161,8 +159,8 @@ def test_criterion_6_broue_conditions():
     t = next(c for c in KJ.source_classes if c.cls.pi == (4,) and c.z == 0)
     zt = next(c for c in KJ.source_classes if c.cls.pi == (4,) and c.z == 1)
     deltas = {
-        (KJ.value(t, t) - KI.value(t, t)).as_rational(),
-        (KJ.value(t, zt) - KI.value(t, zt)).as_rational(),
+        (kernel_value(KJ, t, t) - kernel_value(KI, t, t)).as_rational(),
+        (kernel_value(KJ, t, zt) - kernel_value(KI, t, zt)).as_rational(),
     }
     assert deltas == {8, -8}, deltas
     assert t.centralizer_order == 8

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbars.algnum import AlgNum, I, ONE, ZERO, squarefree_split
+from spinbars.algnum import AlgNum, I, ONE, ZERO, squarefree_split, unit_product
 
 
 def sqrt(m):
@@ -30,6 +30,18 @@ class TestBasics:
         assert squarefree_split(49) == (7, 1)
         with pytest.raises(ValueError):
             squarefree_split(0)
+
+    def test_unit_product_by_gcd_matches_factoring(self):
+        # sqrt(d1) * sqrt(d2) = s * sqrt(d) with (s, d) = squarefree_split(d1 * d2)
+        squarefree = [d for d in range(1, 301) if squarefree_split(d)[0] == 1]
+        assert len(squarefree) == 183
+        for d1 in squarefree:
+            for d2 in squarefree:
+                s, d = squarefree_split(d1 * d2)
+                for e1 in (0, 1):
+                    for e2 in (0, 1):
+                        want = (-s if e1 and e2 else s), (d, (e1 + e2) % 2)
+                        assert unit_product((d1, e1), (d2, e2)) == want, (d1, e1, d2, e2)
 
     def test_conjugation(self):
         v = ONE + 2 * I + sqrt(5)

@@ -21,7 +21,6 @@ from spinbars.isometry import (
     basic_set_transport,
     block_kernel,
     broue_check,
-    compose_kernel,
     identity_iso,
     iso_I,
     kernel_of,
@@ -36,8 +35,12 @@ from spinbars.zverify import block_table, restricted_matrix, split_table
 from oracles import (
     ZClass,
     broue_check_by_coefficients,
+    compose_kernel,
     expand_z,
+    kernel_from_table,
     kernel_of_algnum,
+    kernel_table,
+    kernel_value,
     perfect_check_algnum,
     z_value_matrix,
 )
@@ -200,7 +203,7 @@ class TestKernels:
     def test_identity_kernel_value(self):
         K = block_kernel(identity_iso(block_n3()), block_n3())
         c = find_class(K.source_classes, (1, 1, 1))
-        assert K.value(c, c) == num(6)  # 2*2 + 1*1 + 1*1
+        assert kernel_value(K, c, c) == num(6)  # 2*2 + 1*1 + 1*1
 
     def test_swap_equals_identity_off_the_pair(self):
         b = block_n4()
@@ -209,7 +212,7 @@ class TestKernels:
         for x in KJ.source_classes:
             for y in KJ.target_classes:
                 if x.pi != (4,):
-                    assert KJ.value(x, y) == KI.value(x, y)
+                    assert kernel_value(KJ, x, y) == kernel_value(KI, x, y)
 
     def test_n4_discrepancy_is_twice_z(self):
         b = block_n4()
@@ -218,8 +221,8 @@ class TestKernels:
         KI = expand_z(block_kernel(identity_iso(b), b))
         t, zt = (next(c for c in KJ.source_classes if c.cls.pi == (4,) and c.z == z) for z in (0, 1))
         deltas = {
-            (KJ.value(t, t) - KI.value(t, t)).as_rational(),
-            (KJ.value(t, zt) - KI.value(t, zt)).as_rational(),
+            (kernel_value(KJ, t, t) - kernel_value(KI, t, t)).as_rational(),
+            (kernel_value(KJ, t, zt) - kernel_value(KI, t, zt)).as_rational(),
         }
         assert deltas == {8, -8}
         # divisible by the centralizer order 8
@@ -235,7 +238,7 @@ class TestComposeKernel:
         b = block_n3()
         KJ = block_kernel(swap_J(b, BarPartition((2, 1))), b)
         KI = block_kernel(identity_iso(b), b)
-        assert compose_kernel(KJ, KJ).table == KI.table
+        assert compose_kernel(KJ, KJ) == KI
 
     def test_identity_neutral(self):
         for n in (3, 4):
@@ -245,7 +248,7 @@ class TestComposeKernel:
                 pairs = {x.lam.parts for x in block_members(b) if x.tag != SELF}
                 for lam in pairs:
                     K = block_kernel(swap_J(b, BarPartition(lam)), b)
-                    assert compose_kernel(KI, K).table == K.table
+                    assert compose_kernel(KI, K) == K
 
     def test_matches_composed_spec(self):
         for n in range(2, 6):
@@ -255,14 +258,14 @@ class TestComposeKernel:
                     continue
                 J = swap_J(b, BarPartition(pairs[0]))
                 KJ = block_kernel(J, b)
-                assert compose_kernel(KJ, KJ).table == block_kernel(J.compose(J), b).table
+                assert compose_kernel(KJ, KJ) == block_kernel(J.compose(J), b)
 
     def test_zero_kernel(self):
         b = block_n3()
         K = block_kernel(identity_iso(b), b)
         zero = Kernel(K.source_classes, K.target_classes, {}, K.den)
         out = compose_kernel(zero, K)
-        assert all(v.is_zero() for row in out.table for v in row)
+        assert all(v.is_zero() for row in kernel_table(out) for v in row)
 
     def test_middle_mismatch(self):
         b3, b4 = block_n3(), block_n4()
@@ -349,17 +352,17 @@ class TestKernelOf:
         table = split_table(b)
         K1 = kernel_of(identity_iso(b), table, table)
         K2 = block_kernel(identity_iso(b), b)
-        assert K1.table == K2.table
+        assert K1 == K2
         values = split_value_matrix(b)
-        assert K1.table == kernel_of_algnum(identity_iso(b), values, values).table
+        assert K1 == kernel_of_algnum(identity_iso(b), values, values)
 
     def test_integer_cells(self):
-        # only nonzero cells and coefficients are stored; from_table reads the dense form back
+        # only nonzero cells and coefficients are stored; kernel_from_table reads the dense form back
         for b, _ in block_partition(SYM, 8, 3):
             K = block_kernel(identity_iso(b), b)
             assert K.cells and all(cell and all(cell.values()) for cell in K.cells.values())
-            assert len(K.cells) == sum(1 for row in K.table for v in row if v)
-            assert Kernel.from_table(K.source_classes, K.target_classes, K.table).table == K.table
+            assert len(K.cells) == sum(1 for row in kernel_table(K) for v in row if v)
+            assert kernel_from_table(K.source_classes, K.target_classes, kernel_table(K)) == K
 
     def test_equality_compares_values(self):
         # equal values over different denominators are one kernel, and a kernel is
@@ -369,12 +372,24 @@ class TestKernelOf:
         cells = {ij: {key: 2 * c for key, c in cell.items()} for ij, cell in K.cells.items()}
         K2 = Kernel(K.source_classes, K.target_classes, cells, 2 * K.den)
         assert K2 == K and hash(K2) == hash(K)
-        assert K2 == Kernel.from_table(K.source_classes, K.target_classes, K.table)
+        assert K2 == kernel_from_table(K.source_classes, K.target_classes, kernel_table(K))
         cells.clear()
         assert K2.cells and K2 == K
         with pytest.raises(TypeError):
             K2.cells[0, 0] = {(1, 0): 1}
         assert K2 != Kernel(K.source_classes, K.target_classes, K.cells, 3 * K.den)
+        assert K2 != Kernel(K.source_classes[::-1], K.target_classes, cells, K.den)
+        # stored zeros are dropped: a zero coefficient or an empty cell adds no value
+        padded = {**K.cells, (0, 0): {**K.cells.get((0, 0), {}), (7, 1): 0}, (0, 1): {}}
+        K3 = Kernel(K.source_classes, K.target_classes, padded, K.den)
+        assert K3.cells == K.cells and K3 == K and hash(K3) == hash(K)
+
+    @pytest.mark.parametrize("den", [0, -4])
+    def test_denominator_below_one_raises(self, den):
+        # with den = 0, cross-multiplied equality would make every kernel of one support equal
+        K = block_kernel(identity_iso(block_n3()), block_n3())
+        with pytest.raises(ValueError, match="denominator"):
+            Kernel(K.source_classes, K.target_classes, K.cells, den)
 
 
 def _pairs(members) -> list:
@@ -517,12 +532,12 @@ class TestIntegerPathsMatchOracles:
                 isos = _isometries(b, members, rng)
                 values = split_value_matrix(b)
                 regular = restricted_matrix(b)  # same rows, other classes and denominator
-                assert kernel_of(isos[0][1], split_table(b), block_table(b)).table == (
-                    kernel_of_algnum(isos[0][1], values, regular).table
+                assert kernel_of(isos[0][1], split_table(b), block_table(b)) == (
+                    kernel_of_algnum(isos[0][1], values, regular)
                 ), b
                 for kind, iso in isos:
                     K = block_kernel(iso, b)
-                    assert K.table == kernel_of_algnum(iso, values, values).table, (b, iso)
+                    assert K == kernel_of_algnum(iso, values, values), (b, iso)
                     perfect = perfect_check(iso, b)
                     assert perfect == perfect_check_algnum(iso, p, b), (b, iso)
                     verdicts.setdefault(kind, set()).add(perfect)
@@ -554,7 +569,7 @@ class TestIntegerPathsMatchOracles:
                 kernels.append(("thin", _thinned(kernels[0][1], p)))
                 # expand_z is the kernel of the table over both translates
                 both = z_value_matrix(split_value_matrix(b))
-                assert expand_z(kernels[0][1]).table == kernel_of_algnum(isos[0][1], both, both).table, b
+                assert expand_z(kernels[0][1]) == kernel_of_algnum(isos[0][1], both, both), b
                 for kind, K in kernels:
                     quarter = broue_check(K, p)
                     whole = broue_check_by_coefficients(expand_z(K), p)

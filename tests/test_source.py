@@ -14,6 +14,12 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_public_names_resolve_once():
+    # a name left in __all__ after its function moved breaks `from spinbars import *`
+    assert len(spinbars.__all__) == len(set(spinbars.__all__))
+    assert [name for name in spinbars.__all__ if not hasattr(spinbars, name)] == []
+
+
 def _unbounded_cache(node) -> bool:
     """Whether a decorator is functools.cache or lru_cache with maxsize None."""
     name = node.func if isinstance(node, ast.Call) else node

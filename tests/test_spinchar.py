@@ -18,15 +18,19 @@ from spinbars.spinchar import (
     epsilon_twist,
     half_coefficients,
     half_columns,
-    inner_product,
     is_odd_type,
     labels,
     split_classes,
-    value_vector,
     z_cycle,
 )
 from spinbars.zverify import block_table
-from oracles import half_coefficients_by_cell, odd_value_by_removal, split_class_types_by_filter
+from oracles import (
+    half_coefficients_by_cell,
+    inner_product,
+    odd_value_by_removal,
+    split_class_types_by_filter,
+    value_vector,
+)
 from qfunction_oracle import odd_partitions, spin_value
 
 
@@ -220,14 +224,14 @@ class TestCharValues:
     def test_split_values_are_algebraic_integers(self):
         # pair values are (a +- delta)/2 with delta^2 = (-1)^m z; integrality
         # of the minimal polynomial needs 4 | a^2 - delta^2
-        from spinbars.spinchar import _odd_value
+        from spinbars.spinchar import _bits, _odd_column
 
         for n in range(2, 13):
             for lam in bar_partitions(n):
                 if sigma(lam) == 1:
                     m = (n - lam.length) // 2
                     z = math.prod(lam.parts)
-                    a = _odd_value(lam.parts, lam.parts) if is_odd_type(lam.parts) else 0
+                    a = _odd_column(lam.parts).get(_bits(lam.parts), 0) if is_odd_type(lam.parts) else 0
                     assert (a * a - (-1) ** m * z) % 4 == 0, lam
                 else:
                     # the paired sym values carry sqrt(z/2), so z must be even
@@ -237,12 +241,12 @@ class TestCharValues:
 class TestOddColumns:
     def test_match_removal_recursion(self):
         # the bar-adding column against the bar-strip removal recursion
-        from spinbars.spinchar import _odd_value
+        from spinbars.spinchar import _bits, _odd_column
 
         for n in range(17):
             for lam in bar_partitions(n):
                 for pi in odd_partitions(n):
-                    assert _odd_value(lam.parts, pi) == odd_value_by_removal(lam.parts, pi), (lam, pi)
+                    assert _odd_column(pi).get(_bits(lam.parts), 0) == odd_value_by_removal(lam.parts, pi), (lam, pi)
 
     def test_columns_hold_nonzero_values_only(self):
         from spinbars.spinchar import _odd_column
@@ -293,7 +297,7 @@ class TestValueColumns:
         # an odd strict lam has sign +1, so on the alternating cover it labels a pair
         # and its type is two classes, both odd and strict: the closed form adds h to
         # the odd part, which is +-1, and shares its unit (1, 0) only with |h| >= 3
-        from spinbars.spinchar import _odd_value, _root_term
+        from spinbars.spinchar import _bits, _odd_column, _root_term
 
         types = 0
         for n in range(2, 31):
@@ -301,7 +305,7 @@ class TestValueColumns:
                 pi = lam.parts
                 if not is_odd_type(pi):
                     continue
-                assert _odd_value(pi, pi) in (1, -1), pi
+                assert _odd_column(pi).get(_bits(pi), 0) in (1, -1), pi
                 h, unit = _root_term((n - len(pi)) // 2, math.prod(pi))
                 if unit == (1, 0):
                     assert abs(h) >= 3, pi
