@@ -43,7 +43,12 @@ class AlgNum:
 
     def __init__(self, terms=()):
         # dict(terms) holds one coefficient per unit: only the zeros are dropped
-        self._terms = tuple(sorted(((d, e), f) for (d, e), c in dict(terms).items() if (f := Fraction(c))))
+        terms = dict(terms)
+        for d, e in terms:
+            # any other key would alias a basis unit, and equality is coefficient-wise
+            if e not in (0, 1) or d < 1 or squarefree_split(d)[0] != 1:
+                raise ValueError(f"unit key {(d, e)} is not sqrt(d) * i^e with d squarefree and e in (0, 1)")
+        self._terms = tuple(sorted(((d, e), f) for (d, e), c in terms.items() if (f := Fraction(c))))
 
     @classmethod
     def from_rational(cls, q) -> AlgNum:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -13,9 +14,9 @@ from .isometry import basic_set_transport, iso_I, swap_reports
 from .spinchar import MARKS, SpinLabel
 
 
-def _dumps(obj) -> str:
-    # entries are built fresh and hold no cycle, so the cycle check buys nothing
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+# one encoder for every call, one per matrix row included; entries hold no
+# cycle, so the cycle check buys nothing
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def _label_json(x: SpinLabel) -> dict:
@@ -124,28 +125,41 @@ def _matrix_text(table: zverify.IntegerTable):
     """The matrix of a verify entry as JSON text in pieces, one per row, straight from its integer table.
 
     The columns are sorted by class index, so each class's cell is one slice
-    of a row; a cell's text is memoised by the slice's units and values.
+    of a row; a cell's text is memoised by the slice's units and values, and
+    a one-unit cell (every class but an alternating pair's own) by its one
+    integer, which is cheaper to take and hash than a slice.
     """
     units_of = [[] for _ in table.classes]
     for j, unit in table.columns:
         units_of[j].append(unit)
     slices, memos, start = [], {}, 0
     for units in map(tuple, units_of):
-        slices.append((start, start + len(units), units, memos.setdefault(units, {})))
+        one = start if len(units) == 1 else None
+        slices.append((start, start + len(units), one, units, memos.setdefault(units, {})))
         start += len(units)
     yield "["
     sep = ""
     for x, row in zip(table.row_keys, table.rows):
         cells = []
-        for lo, hi, units, memo in slices:
-            values = row[lo:hi]
-            text = memo.get(values)
+        for lo, hi, one, units, memo in slices:
+            key = row[lo:hi] if one is None else row[one]
+            text = memo.get(key)
             if text is None:
-                text = memo[values] = _cell_text(units, values)
+                text = memo[key] = _cell_text(units, row[lo:hi])
             cells.append(text)
         yield sep + '{"label":' + _dumps(_label_json(x)) + ',"values":[' + ",".join(cells) + "]}"
         sep = ","
     yield "]"
+
+
+@functools.lru_cache(maxsize=1)
+def _classes_json(group: str, n: int, p: int) -> list:
+    """The class list of verify's blocks: it depends only on (group, n, p), so
+    every block of a run shares one list, which the writer encodes once."""
+    return [
+        {"type": list(c.pi), "branch": c.branch, "centralizer": c.centralizer_order}
+        for c in zverify._regular_classes(group, n, p)
+    ]
 
 
 def _verify(b: BlockId) -> dict:
@@ -158,10 +172,7 @@ def _verify(b: BlockId) -> dict:
             {"label": _label_json(x), "coordinates": list(coords) if coords is not None else None}
             for x, coords in report.coordinates.items()
         ],
-        "classes": [
-            {"type": list(c.pi), "branch": c.branch, "centralizer": c.centralizer_order}
-            for c in report.table.classes
-        ],
+        "classes": _classes_json(b.group, b.n, b.p),
         # the integer table itself: only the JSON writer renders it, by _matrix_text
         "matrix": report.table,
     }
@@ -314,16 +325,24 @@ def _entries(args):
     return ({**_block_json(b), **fields(b)} for b in chosen)
 
 
-def _entry_json(entry: dict):
-    """One entry as sorted compact JSON, in pieces; a verify entry's matrix comes row by row amid its other fields."""
+def _entry_json(entry: dict, encoded: dict):
+    """One entry as sorted compact JSON, in pieces; a verify entry's matrix comes row by row amid its other fields.
+
+    ``encoded`` maps the id of each class list already written to the list
+    and its text, so a list that the blocks of a run share is encoded once.
+    """
     if "matrix" not in entry:
         yield _dumps(entry)
         return
-    before = _dumps({k: v for k, v in entry.items() if k < "matrix"})
-    after = _dumps({k: v for k, v in entry.items() if k > "matrix"})
-    yield before[:-1] + ',"matrix":'
+    classes = entry["classes"]
+    if id(classes) not in encoded:
+        encoded[id(classes)] = classes, _dumps(classes)  # the list is kept, so its id is not reused
+    head = _dumps({k: v for k, v in entry.items() if k < "classes"})
+    mid = _dumps({k: v for k, v in entry.items() if "classes" < k < "matrix"})
+    tail = _dumps({k: v for k, v in entry.items() if k > "matrix"})
+    yield head[:-1] + ',"classes":' + encoded[id(classes)][1] + "," + mid[1:-1] + ',"matrix":'
     yield from _matrix_text(entry["matrix"])
-    yield "," + after[1:]
+    yield "," + tail[1:]
 
 
 def _write(args, entries) -> int:
@@ -348,12 +367,13 @@ def _write(args, entries) -> int:
         write(_dumps(head)[:-1] + ',"results":[' + ('{"blocks":[' if verify else ""))
     _, lines_of = COMMANDS[args.command]
     failed_if = FAILED.get(args.command)
+    encoded = {}
     count = failed = 0
     for entry in entries:
         if as_json:
             if count:
                 write(",")
-            sys.stdout.writelines(_entry_json(entry))
+            sys.stdout.writelines(_entry_json(entry, encoded))
         else:
             write("".join(line + "\n" for line in lines_of(entry)))
         count += 1

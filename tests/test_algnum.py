@@ -43,6 +43,27 @@ class TestBasics:
                         want = (-s if e1 and e2 else s), (d, (e1 + e2) % 2)
                         assert unit_product((d1, e1), (d2, e2)) == want, (d1, e1, d2, e2)
 
+    def test_unit_keys_must_be_basis_units(self):
+        # (4, 0) would be 2 written as sqrt(4), and compare unequal to 2
+        for key in ((4, 0), (0, 0), (-3, 0), (2, 5), (12, 1), (3, -1)):
+            with pytest.raises(ValueError):
+                AlgNum({key: 1})
+        with pytest.raises(ValueError):
+            AlgNum({(4, 0): 0})
+        # the keys the library makes still construct
+        from spinbars.spinchar import _root_term
+
+        for k1 in ((1, 0), (2, 1), (6, 0), (15, 1)):
+            for k2 in ((3, 0), (10, 1), (1, 1)):
+                c, key = unit_product(k1, k2)
+                assert AlgNum({key: c}) == AlgNum({k1: 1}) * AlgNum({k2: 1})
+        for m in range(1, 50):
+            s, d = squarefree_split(m)
+            assert sqrt(m) == AlgNum({(d, 0): s})
+            for k in range(4):
+                c, key = _root_term(k, m)
+                assert AlgNum({key: c}) == AlgNum.i_power(k) * sqrt(m)
+
     def test_conjugation(self):
         v = ONE + 2 * I + sqrt(5)
         assert v.conjugate() == ONE - 2 * I + sqrt(5)

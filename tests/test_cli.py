@@ -73,18 +73,30 @@ JSON_SHA256 = {
 
 
 def differential_argvs(verb):
-    """The argv lists the streamed output is compared on with the tree oracle."""
+    """The argv lists the streamed output is compared on with the tree oracle.
+
+    A verb that selects blocks runs on every (group, n, p) of a grid, and on
+    each block at p = 3, 5 and n <= 12 selected alone with --core.
+    """
     if verb == "selftest":
         return [["selftest"]]
     if verb == "cores":
         return [["cores", "--n", str(n), "--p", str(p)] for p in (3, 5, 7, 11) for n in range(13)]
     top = 16 if verb == "verify" else 12
-    return [
+    whole = [
         [verb, "--group", group, "--n", str(n), "--p", str(p)]
         for group in ("sym", "alt")
         for p in (3, 5, 7, 11)
         for n in range(1, top + 1)
     ]
+    alone = [
+        [verb, "--group", group, "--n", str(n), "--p", str(p), "--core", ",".join(map(str, b.core.parts)) or "-"]
+        for group in ("sym", "alt")
+        for p in (3, 5)
+        for n in range(1, 13)
+        for b, _ in blocks.block_partition(group, n, p)
+    ]
+    return whole + alone
 
 
 def run_cli(capsys, *argv):
@@ -398,6 +410,24 @@ class TestContract:
             }
             for fmt, text in expected.items():
                 assert run_cli(capsys, *argv, "--format", fmt) == (status, text), (argv, fmt)
+
+    def test_verify_encodes_its_class_list_once(self, capsys, monkeypatch):
+        # the class list depends only on (group, n, p): every block shares it
+        real = cli._dumps
+        encoded = []
+
+        def counted(obj):
+            text = real(obj)
+            if '"centralizer"' in text:
+                encoded.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "_dumps", counted)
+        status, out = run_cli(capsys, "verify", "--group", "sym", "--n", "12", "--p", "3")
+        found = json.loads(out)["results"][0]["blocks"]
+        assert status == 0 and len(found) > 1
+        assert len(encoded) == 1
+        assert all(b["classes"] == json.loads(encoded[0]) for b in found)
 
     def test_verify_and_counts_never_build_algnum_values(self, capsys, monkeypatch):
         # the CLI reads integer tables; AlgNum values stay at the API boundary

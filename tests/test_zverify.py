@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -380,7 +381,7 @@ class TestOracles:
     def test_integer_table_and_rendering_match_the_algnum_path(self):
         from spinbars.cli import _matrix_text
 
-        blocks = 0
+        blocks = two_unit = 0
         for group in (SYM, ALT):
             for p in (3, 5, 7, 11):
                 for n in range(1, 15):
@@ -399,6 +400,9 @@ class TestOracles:
                             for x, row in zip(m.row_keys, values)
                         ]
                         assert "".join(_matrix_text(table)) == json.dumps(matrix, sort_keys=True, separators=(",", ":")), b
+                        # a class with two unit columns renders from a slice of each row, not one integer
+                        units = Counter(j for j, _ in table.columns)
+                        two_unit += sum(1 for count in units.values() if count == 2)
                         if n <= 12:
                             # every split class: the isometry table
                             whole = split_table(b)
@@ -408,7 +412,7 @@ class TestOracles:
                             assert den in (1, 2) and list(whole.columns) == columns, b
                             assert [[den * h for h in r] for r in whole.rows] == [[2 * a for a in r] for r in rows], b
                         blocks += 1
-        assert blocks == 388
+        assert blocks == 388 and two_unit > 0
 
 
 class TestTransformOracle:
