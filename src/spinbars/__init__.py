@@ -1,107 +1,17 @@
 """Spin-character combinatorics and basic-set verification for the double covers."""
 
-from .algnum import AlgNum
-from .barcomb import (
-    BarPartition,
-    BarQuotient,
-    Partition,
-    bar_core_quotient,
-    bar_partitions,
-    delta_bar,
-    doubling,
-    from_core_quotient,
-    is_bar_core,
-    partition_core_quotient,
-    partitions,
-    sigma,
-)
-from .blocks import (
-    BlockId,
-    LocalLabel,
-    basic_set,
-    block_members,
-    block_of,
-    block_partition,
-    brauer_count,
-    local_basic_labels,
-    local_side,
-)
-from .isometry import (
-    IsometrySpec,
-    Kernel,
-    UnsupportedTargetError,
-    basic_set_transport,
-    block_kernel,
-    broue_check,
-    identity_iso,
-    iso_I,
-    kernel_of,
-    perfect_check,
-    swap_J,
-    swap_reports,
-)
-from .spinchar import (
-    SpinLabel,
-    SplitClass,
-    char_value,
-    degree,
-    epsilon_twist,
-    labels,
-    split_classes,
-)
-from .zverify import (
-    ValueMatrix,
-    VerificationReport,
-    restricted_matrix,
-    verify_basic_set,
-    z_span_equal,
-)
+from . import algnum, barcomb, blocks, isometry, spinchar, zverify
+from .algnum import *
+from .barcomb import *
+from .blocks import *
+from .isometry import *
+from .spinchar import *
+from .zverify import *
 
-__all__ = [
-    "AlgNum",
-    "BarPartition",
-    "BarQuotient",
-    "BlockId",
-    "IsometrySpec",
-    "Kernel",
-    "LocalLabel",
-    "Partition",
-    "SpinLabel",
-    "SplitClass",
-    "UnsupportedTargetError",
-    "ValueMatrix",
-    "VerificationReport",
-    "bar_core_quotient",
-    "bar_partitions",
-    "basic_set",
-    "basic_set_transport",
-    "block_kernel",
-    "block_members",
-    "block_of",
-    "block_partition",
-    "brauer_count",
-    "broue_check",
-    "char_value",
-    "degree",
-    "delta_bar",
-    "doubling",
-    "epsilon_twist",
-    "from_core_quotient",
-    "identity_iso",
-    "is_bar_core",
-    "iso_I",
-    "kernel_of",
-    "labels",
-    "local_basic_labels",
-    "local_side",
-    "partition_core_quotient",
-    "partitions",
-    "perfect_check",
-    "restricted_matrix",
-    "sigma",
-    "split_classes",
-    "swap_J",
-    "swap_reports",
-    "verify_basic_set",
-    "z_span_equal",
-]
+__all__ = []
+__all__ += algnum.__all__
+__all__ += barcomb.__all__
+__all__ += blocks.__all__
+__all__ += isometry.__all__
+__all__ += spinchar.__all__
+__all__ += zverify.__all__

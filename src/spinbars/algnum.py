@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+__all__ = ["AlgNum"]
+
 
 def squarefree_split(m: int) -> tuple[int, int]:
     """m = s**2 * d with d squarefree; returns (s, d).  Requires m >= 1."""
@@ -44,7 +46,10 @@ class AlgNum:
     def __init__(self, terms=()):
         # dict(terms) holds one coefficient per unit: only the zeros are dropped
         terms = dict(terms)
-        for d, e in terms:
+        for (d, e), c in terms.items():
+            # exact inputs only: Fraction would round a float and parse a string
+            if not (isinstance(d, int) and isinstance(e, int) and isinstance(c, (int, Fraction))):
+                raise TypeError(f"{(d, e)!r}: {c!r} is not an int key with an int or Fraction coefficient")
             # any other key would alias a basis unit, and equality is coefficient-wise
             if e not in (0, 1) or d < 1 or squarefree_split(d)[0] != 1:
                 raise ValueError(f"unit key {(d, e)} is not sqrt(d) * i^e with d squarefree and e in (0, 1)")
@@ -52,7 +57,7 @@ class AlgNum:
 
     @classmethod
     def from_rational(cls, q) -> AlgNum:
-        return cls({(1, 0): Fraction(q)})
+        return cls({(1, 0): q})
 
     @classmethod
     def sqrt_int(cls, m: int) -> AlgNum:

@@ -9,7 +9,12 @@ p-core/p-quotient needed by the doubling test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le, lt
+from operator import index, le, lt
+
+__all__ = [
+    "BarPartition", "BarQuotient", "Partition", "bar_core_quotient", "bar_partitions", "delta_bar",
+    "doubling", "from_core_quotient", "is_bar_core", "partition_core_quotient", "partitions", "sigma",
+]
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -24,6 +29,7 @@ P_BOUND = 2**21
 
 def is_odd_prime(p: int) -> bool:
     """Whether p is an odd prime, by deterministic Miller-Rabin; ValueError from MR_BOUND up."""
+    p = index(p)  # TypeError for a float: 3.0 would pass as a base below
     if p >= MR_BOUND:
         raise ValueError(f"p must be below {MR_BOUND}, where the primality test is exact, got {p}")
     if p < 3 or p % 2 == 0:
@@ -57,7 +63,7 @@ class Partition:
     strict = False  # a class constant, not a field: whether the parts must strictly decrease
 
     def __post_init__(self):
-        parts = tuple(self.parts)
+        parts = tuple(map(index, self.parts))  # TypeError for a float part
         object.__setattr__(self, "parts", parts)
         if any(a <= 0 for a in parts):
             raise ValueError(f"parts must be positive: {parts}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from types import MappingProxyType
 
 from .barcomb import (
@@ -32,6 +33,11 @@ from .barcomb import (
     sigma,
 )
 from .spinchar import MARKS, SpinLabel, labels, pair_sign, tags
+
+__all__ = [
+    "BlockId", "LocalLabel", "basic_set", "block_members", "block_of", "block_partition",
+    "brauer_count", "local_basic_labels", "local_side",
+]
 
 SIDE_G = "G"
 SIDE_H = "H"
@@ -52,7 +58,7 @@ class BlockId:
         pair_sign(self.group, self.n)  # raises on an unknown group
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.weight < 0:
+        if index(self.weight) < 0:
             raise ValueError("weight must be non-negative")
         if not is_bar_core(self.core, self.p):
             raise ValueError(f"{self.core} admits a removable {self.p}-bar")

@@ -153,13 +153,14 @@ def _matrix_text(table: zverify.IntegerTable):
 
 
 @functools.lru_cache(maxsize=1)
-def _classes_json(group: str, n: int, p: int) -> list:
-    """The class list of verify's blocks: it depends only on (group, n, p), so
-    every block of a run shares one list, which the writer encodes once."""
-    return [
+def _classes_json(group: str, n: int, p: int) -> tuple[list, str]:
+    """The class list of verify's blocks and its JSON text: it depends only on
+    (group, n, p), so every block of a run shares both, and the list is encoded once."""
+    classes = [
         {"type": list(c.pi), "branch": c.branch, "centralizer": c.centralizer_order}
         for c in zverify._regular_classes(group, n, p)
     ]
+    return classes, _dumps(classes)
 
 
 def _verify(b: BlockId) -> dict:
@@ -172,7 +173,7 @@ def _verify(b: BlockId) -> dict:
             {"label": _label_json(x), "coordinates": list(coords) if coords is not None else None}
             for x, coords in report.coordinates.items()
         ],
-        "classes": _classes_json(b.group, b.n, b.p),
+        "classes": _classes_json(b.group, b.n, b.p)[0],
         # the integer table itself: only the JSON writer renders it, by _matrix_text
         "matrix": report.table,
     }
@@ -325,22 +326,19 @@ def _entries(args):
     return ({**_block_json(b), **fields(b)} for b in chosen)
 
 
-def _entry_json(entry: dict, encoded: dict):
+def _entry_json(entry: dict):
     """One entry as sorted compact JSON, in pieces; a verify entry's matrix comes row by row amid its other fields.
 
-    ``encoded`` maps the id of each class list already written to the list
-    and its text, so a list that the blocks of a run share is encoded once.
+    A verify entry's class list is written as the text cached with it.
     """
     if "matrix" not in entry:
         yield _dumps(entry)
         return
-    classes = entry["classes"]
-    if id(classes) not in encoded:
-        encoded[id(classes)] = classes, _dumps(classes)  # the list is kept, so its id is not reused
+    classes = _classes_json(entry["group"], entry["n"], entry["p"])[1]
     head = _dumps({k: v for k, v in entry.items() if k < "classes"})
     mid = _dumps({k: v for k, v in entry.items() if "classes" < k < "matrix"})
     tail = _dumps({k: v for k, v in entry.items() if k > "matrix"})
-    yield head[:-1] + ',"classes":' + encoded[id(classes)][1] + "," + mid[1:-1] + ',"matrix":'
+    yield head[:-1] + ',"classes":' + classes + "," + mid[1:-1] + ',"matrix":'
     yield from _matrix_text(entry["matrix"])
     yield "," + tail[1:]
 
@@ -367,13 +365,12 @@ def _write(args, entries) -> int:
         write(_dumps(head)[:-1] + ',"results":[' + ('{"blocks":[' if verify else ""))
     _, lines_of = COMMANDS[args.command]
     failed_if = FAILED.get(args.command)
-    encoded = {}
     count = failed = 0
     for entry in entries:
         if as_json:
             if count:
                 write(",")
-            sys.stdout.writelines(_entry_json(entry, encoded))
+            sys.stdout.writelines(_entry_json(entry))
         else:
             write("".join(line + "\n" for line in lines_of(entry)))
         count += 1

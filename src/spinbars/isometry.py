@@ -36,8 +36,13 @@ from .barcomb import delta_bar, sigma
 from .blocks import (
     BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels, local_side,
 )
-from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, char_value, split_classes
-from .zverify import IntegerTable, ValueMatrix, split_table
+from .spinchar import MINUS, PLUS, SELF, SYM, SpinLabel, split_classes
+from .zverify import IntegerTable, ValueMatrix, _value_matrix, split_table
+
+__all__ = [
+    "IsometrySpec", "Kernel", "UnsupportedTargetError", "basic_set_transport", "block_kernel",
+    "broue_check", "identity_iso", "iso_I", "kernel_of", "perfect_check", "swap_J", "swap_reports",
+]
 
 
 class UnsupportedTargetError(ValueError):
@@ -157,9 +162,7 @@ class Kernel:
 
 def split_value_matrix(block: BlockId) -> ValueMatrix:
     """Block values over all split classes."""
-    cols = split_classes(block.n, group=block.group)
-    rows = block_members(block)
-    return ValueMatrix(rows, cols, tuple(tuple(char_value(x, c) for c in cols) for x in rows))
+    return _value_matrix(block_members(block), split_classes(block.n, group=block.group))
 
 
 def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> Kernel:

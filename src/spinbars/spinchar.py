@@ -20,6 +20,8 @@ from functools import cached_property, lru_cache
 from .algnum import AlgNum, squarefree_split
 from .barcomb import BarPartition, bar_partitions, sigma
 
+__all__ = ["SpinLabel", "SplitClass", "char_value", "degree", "epsilon_twist", "labels", "split_classes"]
+
 SYM = "sym"
 ALT = "alt"
 SELF = "self"

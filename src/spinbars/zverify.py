@@ -32,6 +32,8 @@ from .algnum import AlgNum
 from .blocks import BlockId, basic_set, block_members
 from .spinchar import char_value, half_columns, split_classes
 
+__all__ = ["ValueMatrix", "VerificationReport", "restricted_matrix", "verify_basic_set", "z_span_equal"]
+
 
 @dataclass(frozen=True)
 class ValueMatrix:
@@ -90,12 +92,14 @@ def _regular_classes(group: str, n: int, p: int) -> tuple:
     return tuple(c for c in split_classes(n, group=group) if c.is_regular(p))
 
 
+def _value_matrix(row_keys: tuple, classes: tuple) -> ValueMatrix:
+    """The exact values of the labels over the classes."""
+    return ValueMatrix(row_keys, classes, tuple(tuple(char_value(x, c) for c in classes) for x in row_keys))
+
+
 def restricted_matrix(block: BlockId) -> ValueMatrix:
     """Block values over its p-regular split classes."""
-    cols = _regular_classes(block.group, block.n, block.p)
-    rows = block_members(block)
-    entries = tuple(tuple(char_value(x, c) for c in cols) for x in rows)
-    return ValueMatrix(rows, cols, entries)
+    return _value_matrix(block_members(block), _regular_classes(block.group, block.n, block.p))
 
 
 def _integer_table(row_keys: tuple, classes: tuple) -> IntegerTable:
@@ -348,53 +352,52 @@ def _modular_pass(cand: list, targets: list, m: int) -> dict | None:
     return solved
 
 
-def _hnf_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> VerificationReport:
+def _hnf_span(cand: list, targets: list, m: int) -> tuple[bool, dict, int, int]:
     """The Z-span decision by one HNF of [C | I]: every fail, and any pass the modular path leaves.
 
-    Scaling C by s > 0 sends the reduced HNF [H | U] of [C | I] to [sH | U]:
-    the row operations are the same, the pivots keep their positions, and
-    each entry above a C-part pivot stays in [0, pivot).  So
-    ``integral_coordinates`` meets the same quotients and divisibility, and
-    the verdict, the coordinates (even of dependent candidates on a fail)
-    and both ranks are those of the rows at any other scale.
+    Returns (verdict, {target: coordinates or None}, rank_full,
+    rank_candidate) for the candidate rows C and the distinct target rows,
+    each solved once.  Scaling C by s > 0 sends the reduced HNF [H | U] of
+    [C | I] to [sH | U]: the row operations are the same, the pivots keep
+    their positions, and each entry above a C-part pivot stays in
+    [0, pivot).  So ``integral_coordinates`` meets the same quotients and
+    divisibility, and the verdict, the coordinates (even of dependent
+    candidates on a fail) and both ranks are those of the rows at any
+    other scale.
     """
-    by_key = dict(zip(row_keys, int_rows))
-    k = len(candidate_keys)
-    m = len(int_rows[0]) if int_rows else 0
-    cand = [list(by_key[key]) for key in candidate_keys]
-    H = hnf([row + [int(i == j) for j in range(k)] for i, row in enumerate(cand)])
+    k = len(cand)
+    H = hnf([list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(cand)])
     rank = sum(1 for row in H if any(row[:m]))
-    chosen = set(candidate_keys)
-    coordinates = {key: integral_coordinates(by_key[key], H, m) for key in row_keys if key not in chosen}
-    ok = rank == k and None not in coordinates.values()
+    solved = {t: integral_coordinates(t, H, m) for t in targets}
+    ok = rank == k and None not in solved.values()
     # on a pass the k candidate rows are independent and every other row is
-    # an integral combination of them, so the full rank is k
-    rank_full = k if ok else len(hnf(int_rows))
-    return VerificationReport(table, candidate_keys, ok, coordinates, rank_full, rank)
+    # an integral combination of them, so the full rank is k; on a fail the
+    # distinct rows span what all the rows span
+    rank_full = k if ok else len(hnf([*cand, *targets]))
+    return ok, solved, rank_full, rank
 
 
 def _z_span(candidate_keys: tuple, row_keys: tuple, int_rows, table) -> VerificationReport:
     """The Z-span decision on integer rows, one per row key, at any one scale of the values.
 
-    A pass is decided mod Q and proved by the exact check y * C = t on
-    every distinct non-candidate row (``_modular_pass``); it reports the
-    unique coordinates and both ranks k.  Anything else, every fail
-    included, is decided by ``_hnf_span``, whose report is the same on
-    a pass.  Neither depends on the scale of the rows: a pass's
-    coordinates are the unique ones at any scale, and the HNF's report
-    is scale-free (see ``_hnf_span``).
+    Each distinct non-candidate row is solved once.  A pass is decided
+    mod Q and proved by the exact check y * C = t (``_modular_pass``), with
+    the unique coordinates and both ranks k.  Anything else, every fail
+    included, is decided by ``_hnf_span``, whose answer is the same on a
+    pass.  Neither depends on the scale of the rows: a pass's coordinates
+    are the unique ones at any scale, and the HNF's answer is scale-free
+    (see ``_hnf_span``).
     """
     chosen = set(candidate_keys)
     by_key = dict(zip(row_keys, map(tuple, int_rows)))
     cand = [by_key[key] for key in candidate_keys]
     targets = list(dict.fromkeys(by_key[key] for key in row_keys if key not in chosen))
     m = len(int_rows[0]) if int_rows else 0
+    k = len(cand)
     solved = _modular_pass(cand, targets, m)
-    if solved is None:
-        return _hnf_span(candidate_keys, row_keys, int_rows, table)
+    verdict, solved, rank_full, rank = _hnf_span(cand, targets, m) if solved is None else (True, solved, k, k)
     coordinates = {key: solved[by_key[key]] for key in row_keys if key not in chosen}
-    k = len(candidate_keys)
-    return VerificationReport(table, candidate_keys, True, coordinates, k, k)
+    return VerificationReport(table, candidate_keys, verdict, coordinates, rank_full, rank)
 
 
 def z_span_equal(candidate_keys, matrix: ValueMatrix) -> VerificationReport:

@@ -64,6 +64,21 @@ class TestBasics:
                 c, key = _root_term(k, m)
                 assert AlgNum({key: c}) == AlgNum.i_power(k) * sqrt(m)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: AlgNum({(1, 0): 0.1}), id="float"),
+            pytest.param(lambda: AlgNum({(1, 0): "1/3"}), id="string"),
+            pytest.param(lambda: AlgNum({(2.0, 0): 1}), id="float-key"),
+            pytest.param(lambda: AlgNum.from_rational(0.5), id="from_rational-float"),
+            pytest.param(lambda: AlgNum.from_rational("1/2"), id="from_rational-string"),
+        ],
+    )
+    def test_inexact_inputs_are_refused(self, build):
+        # Fraction would round a float to its binary value and parse a string
+        with pytest.raises(TypeError):
+            build()
+
     def test_conjugation(self):
         v = ONE + 2 * I + sqrt(5)
         assert v.conjugate() == ONE - 2 * I + sqrt(5)

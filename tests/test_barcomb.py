@@ -61,6 +61,15 @@ class TestIsOddPrime:
                 is_odd_prime(p)
 
 
+@pytest.mark.parametrize(
+    "cls, parts", [(Partition, (2.0, 1)), (BarPartition, (3.0, 1)), (BarPartition, ("3", 1)), (BarPartition, (3, 0.5))]
+)
+def test_partition_parts_must_be_integers(cls, parts):
+    # a float part would pass the order checks and spread through bar_core_quotient
+    with pytest.raises(TypeError):
+        cls(parts)
+
+
 class TestEnumeration:
     def test_zero(self):
         assert bar_partitions(0) == [BarPartition(())]

@@ -262,3 +262,10 @@ QUOTIENT_P3 = bar_core_quotient(BarPartition((3,)), 3)[1]
 def test_public_guards_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("p, weight", [(3.0, 1), ("3", 1), (3, 1.0)])
+def test_block_id_takes_integers(p, weight):
+    # 3.0 would pass is_odd_prime as one of its bases
+    with pytest.raises(TypeError):
+        BlockId(SYM, p, EMPTY, weight)

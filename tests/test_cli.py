@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import spinbars
 from spinbars import barcomb, blocks, cli, zverify
 from oracles import cli_payload
 
@@ -423,6 +426,8 @@ class TestContract:
             return text
 
         monkeypatch.setattr(cli, "_dumps", counted)
+        # an earlier run of the same (group, n, p) leaves its text cached
+        cli._classes_json.cache_clear()
         status, out = run_cli(capsys, "verify", "--group", "sym", "--n", "12", "--p", "3")
         found = json.loads(out)["results"][0]["blocks"]
         assert status == 0 and len(found) > 1
@@ -431,13 +436,13 @@ class TestContract:
 
     def test_verify_and_counts_never_build_algnum_values(self, capsys, monkeypatch):
         # the CLI reads integer tables; AlgNum values stay at the API boundary
-        from spinbars import isometry, spinchar, zverify
-
         def boom(x, c):
             raise RuntimeError("char_value on the CLI path")
 
-        for module in (spinchar, zverify, isometry):
-            monkeypatch.setattr(module, "char_value", boom)
+        for info in pkgutil.iter_modules(spinbars.__path__):
+            module = importlib.import_module(f"spinbars.{info.name}")
+            if hasattr(module, "char_value"):
+                monkeypatch.setattr(module, "char_value", boom)
         for group in ("sym", "alt"):
             for verb in ("verify", "counts", "isometry"):
                 status, out = run_cli(capsys, verb, "--group", group, "--n", "9", "--p", "3")

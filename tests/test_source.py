@@ -1,5 +1,6 @@
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import spinbars
@@ -14,10 +15,33 @@ def test_no_assert_statements():
     assert found == []
 
 
+PUBLIC_NAMES = {
+    "AlgNum", "BarPartition", "BarQuotient", "BlockId", "IsometrySpec", "Kernel", "LocalLabel", "Partition",
+    "SpinLabel", "SplitClass", "UnsupportedTargetError", "ValueMatrix", "VerificationReport",
+    "bar_core_quotient", "bar_partitions", "basic_set", "basic_set_transport", "block_kernel", "block_members",
+    "block_of", "block_partition", "brauer_count", "broue_check", "char_value", "degree", "delta_bar",
+    "doubling", "epsilon_twist", "from_core_quotient", "identity_iso", "is_bar_core", "iso_I", "kernel_of",
+    "labels", "local_basic_labels", "local_side", "partition_core_quotient", "partitions", "perfect_check",
+    "restricted_matrix", "sigma", "split_classes", "swap_J", "swap_reports", "verify_basic_set", "z_span_equal",
+}
+
+
 def test_public_names_resolve_once():
     # a name left in __all__ after its function moved breaks `from spinbars import *`
     assert len(spinbars.__all__) == len(set(spinbars.__all__))
+    assert set(spinbars.__all__) == PUBLIC_NAMES
     assert [name for name in spinbars.__all__ if not hasattr(spinbars, name)] == []
+    # each name is declared once, by the module that defines it; the CLI's names stay out
+    owners = {}
+    for info in pkgutil.iter_modules(spinbars.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"spinbars.{info.name}")
+        for name in module.__all__:
+            owners.setdefault(name, []).append(info.name)
+            assert getattr(module, name).__module__ == module.__name__, (info.name, name)
+    assert {name: found for name, found in owners.items() if len(found) > 1} == {}
+    assert set(owners) == PUBLIC_NAMES
 
 
 def _unbounded_cache(node) -> bool:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -455,6 +457,29 @@ def perturbed(table, key, j, delta):
     return table._replace(rows=tuple(tuple(r) for r in rows))
 
 
+def fault_outside_the_span(monkeypatch):
+    """Patch block_table: column 0 of each block's first non-candidate row gains p."""
+    real_table = zverify.block_table
+
+    def faulty_table(b):
+        table = real_table(b)
+        others = [x for x in table.row_keys if x not in set(basic_set(b))]
+        return perturbed(table, others[0], 0, b.p) if others else table
+
+    monkeypatch.setattr(zverify, "block_table", faulty_table)
+
+
+# sha256 and exit status of the fail outputs at n=10, p=3 under fault_outside_the_span:
+# the HNF's coordinates and ranks, pinned by digest rather than against another HNF run
+FAIL_SHA256 = {
+    ("verify --group sym", "json"): (1, "06fd72d06347134bf37d51e5870ae6b0d77d52969104678f320320dfe2ae0093"),
+    ("verify --group sym", "table"): (1, "e968572452ffd04af4df7475ec408bdcb2840e8c56ae6a34598f850dae420ef9"),
+    ("verify --group alt", "json"): (1, "499af49beae758ca4d184bf970f241bc7dbdc3f3404692b6448484b439f617f0"),
+    ("verify --group alt", "table"): (1, "c6dbbcb16829a5bc7399841ec8e6a081c8bfebfba70e4abd5f27be149f6cc053"),
+    ("counts --group sym", "json"): (0, "ca3067309f27d451a771b8a9f7a32fc5e368fd0a52775ed44fc617d350b87440"),
+}
+
+
 def small_blocks(min_weight):
     for group in (SYM, ALT):
         for p in (3, 5):
@@ -554,7 +579,8 @@ class TestFaultInjection:
 
 def hnf_report(candidate_keys, row_keys, int_rows, table=None):
     """The Z-span report of the HNF decision alone, the oracle of the modular pass path."""
-    return zverify._hnf_span(tuple(candidate_keys), tuple(row_keys), int_rows, table)
+    with mock.patch.object(zverify, "_modular_pass", lambda *_: None):
+        return zverify._z_span(tuple(candidate_keys), tuple(row_keys), int_rows, table)
 
 
 def counting(monkeypatch, name):
@@ -687,14 +713,7 @@ class TestModularPass:
     def test_target_outside_the_span_prints_the_hnf_fail(self, capsys, monkeypatch):
         from spinbars import cli
 
-        real_table = zverify.block_table
-
-        def faulty_table(b):
-            table = real_table(b)
-            others = [x for x in table.row_keys if x not in set(basic_set(b))]
-            return perturbed(table, others[0], 0, b.p) if others else table
-
-        monkeypatch.setattr(zverify, "block_table", faulty_table)
+        fault_outside_the_span(monkeypatch)
         argv = ["verify", "--group", "sym", "--n", "10", "--p", "3"]
         # a fail exits 1
         assert cli.run(argv) == 1
@@ -703,6 +722,26 @@ class TestModularPass:
         assert cli.run(argv) == 1
         assert modular == capsys.readouterr().out
         assert '"fail":2' in modular
+
+    def test_hnf_fails_print_pinned_bytes(self, capsys, monkeypatch):
+        from spinbars import cli
+
+        fault_outside_the_span(monkeypatch)
+        for (verb, fmt), (status, digest) in FAIL_SHA256.items():
+            argv = f"{verb} --n 10 --p 3 --format {fmt}"
+            assert cli.run(argv.split()) == status, argv
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+
+    def test_hnf_solves_each_distinct_target_once(self, monkeypatch):
+        fault_outside_the_span(monkeypatch)
+        b = BlockId(SYM, 3, BarPartition((1,)), 3)
+        table = zverify.block_table(b)
+        chosen = set(basic_set(b))
+        targets = [row for x, row in zip(table.row_keys, table.rows) if x not in chosen]
+        assert (len(targets), len(set(targets))) == (6, 5)
+        calls = counting(monkeypatch, "integral_coordinates")
+        assert not verify_basic_set(b).verdict
+        assert len(calls) == 5
 
     def test_update_limit_below_k_falls_back(self, monkeypatch):
         monkeypatch.setattr(zverify, "_MAX_UPDATES", 1)
