@@ -1,8 +1,10 @@
-"""Exact arithmetic in Q(i, sqrt(d1), sqrt(d2), ...).
+"""Exact values in Q(i, sqrt(d1), sqrt(d2), ...).
 
 A value is a finite Q-linear combination of basis elements sqrt(d) * i^e
 with d a squarefree positive integer and e in {0, 1}.  These basis elements
 are linearly independent over Q, so equality is coefficient-wise and exact.
+The library computes on integer tables; ``AlgNum`` carries a value across
+the API, and arithmetic on values lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ def unit_product(k: tuple[int, int], l: tuple[int, int]) -> tuple[int, tuple[int
 
 
 class AlgNum:
-    """Immutable algebraic number; supports +, -, *, conjugation, equality."""
+    """Immutable exact value: a sum of rational multiples of the units sqrt(d) * i^e.
+
+    A value type with no arithmetic: ``spinchar.char_value`` builds it,
+    ``zverify.integer_expansion`` reads its ``coefficients``, and two values
+    are equal exactly when their coefficients are.
+    """
 
     __slots__ = ("_terms",)
 
@@ -55,40 +62,6 @@ class AlgNum:
                 raise ValueError(f"unit key {(d, e)} is not sqrt(d) * i^e with d squarefree and e in (0, 1)")
         self._terms = tuple(sorted(((d, e), f) for (d, e), c in terms.items() if (f := Fraction(c))))
 
-    @classmethod
-    def from_rational(cls, q) -> AlgNum:
-        return cls({(1, 0): q})
-
-    @classmethod
-    def sqrt_int(cls, m: int) -> AlgNum:
-        """Exact square root of the non-negative integer m."""
-        if m == 0:
-            return cls()
-        s, d = squarefree_split(m)
-        return cls({(d, 0): Fraction(s)})
-
-    @classmethod
-    def i_power(cls, k: int) -> AlgNum:
-        return (cls.from_rational(1), cls({(1, 1): Fraction(1)}),
-                cls.from_rational(-1), cls({(1, 1): Fraction(-1)}))[k % 4]
-
-    @property
-    def terms(self):
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(k == (1, 0) for k, _ in self._terms)
-
-    def as_rational(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self._terms[0][1]
-
     def coefficients(self) -> dict[tuple[int, int], Fraction]:
         return dict(self._terms)
 
@@ -98,56 +71,10 @@ class AlgNum:
     def __eq__(self, other):
         if isinstance(other, AlgNum):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == AlgNum.from_rational(other)
         return NotImplemented
 
     def __hash__(self):
         return hash(self._terms)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms:
-            out[k] = out.get(k, Fraction(0)) + c
-        return AlgNum(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgNum({k: -c for k, c in self._terms})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for k1, c1 in self._terms:
-            for k2, c2 in other._terms:
-                s, k = unit_product(k1, k2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2 * s
-        return AlgNum(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return self * AlgNum.from_rational(Fraction(1, 1) / Fraction(other))
-        return NotImplemented
-
-    def conjugate(self) -> AlgNum:
-        return AlgNum({(d, e): -c if e else c for (d, e), c in self._terms})
 
     def __repr__(self):
         if not self._terms:
@@ -157,23 +84,3 @@ class AlgNum:
             unit = ("" if d == 1 else f"sqrt({d})") + ("i" if e else "")
             bits.append(f"{c}{'*' + unit if unit else ''}")
         return f"AlgNum({' + '.join(bits)})"
-
-    def to_json(self) -> dict:
-        """{"re": [[num, den, d], ...], "im": [...]} with terms (num/den)*sqrt(d)."""
-        re, im = [], []
-        for (d, e), c in self._terms:
-            (im if e else re).append([c.numerator, c.denominator, d])
-        return {"re": re, "im": im}
-
-
-ZERO = AlgNum()
-ONE = AlgNum.from_rational(1)
-I = AlgNum({(1, 1): Fraction(1)})
-
-
-def _coerce(x):
-    if isinstance(x, AlgNum):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return AlgNum.from_rational(x)
-    return None

@@ -58,7 +58,9 @@ class BlockId:
         pair_sign(self.group, self.n)  # raises on an unknown group
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if index(self.weight) < 0:
+        # stored as a plain int: True would pass index() and reach the JSON as true
+        object.__setattr__(self, "weight", index(self.weight))
+        if self.weight < 0:
             raise ValueError("weight must be non-negative")
         if not is_bar_core(self.core, self.p):
             raise ValueError(f"{self.core} admits a removable {self.p}-bar")

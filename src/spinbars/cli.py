@@ -113,7 +113,7 @@ def _basic_set_lines(r: dict) -> list[str]:
 
 
 def _cell_text(units: tuple, values: tuple) -> str:
-    """One value as AlgNum.to_json text: the table holds twice each value, a/2 in lowest terms."""
+    """One value in the schema's {"re", "im"} form: the table holds twice each value, a/2 in lowest terms."""
     re, im = [], []
     for (d, e), a in zip(units, values):
         if a:

@@ -59,14 +59,9 @@ class IsometrySpec:
         size = len(self.mapping)
         if len({s for s, _, _ in self.mapping}) != size or len({t for _, t, _ in self.mapping}) != size:
             raise ValueError("mapping is not a bijection: a label appears twice as a source or a target")
-        if any(sign not in (1, -1) for _, _, sign in self.mapping):
-            raise ValueError("every sign of a signed bijection is 1 or -1")
-
-    def image(self, x):
-        for s, t, sign in self.mapping:
-            if s == x:
-                return t, sign
-        raise KeyError(x)
+        # 1.0 and True pass `in (1, -1)`; a 1.0 sign makes float kernel cells, which broue_check refuses late
+        if any(type(sign) is not int or sign not in (1, -1) for _, _, sign in self.mapping):
+            raise ValueError("every sign of a signed bijection is the int 1 or -1")
 
     def inverse(self) -> IsometrySpec:
         return IsometrySpec(tuple((t, s, sign) for s, t, sign in self.mapping))
@@ -141,8 +136,10 @@ class Kernel:
     den: int
 
     def __post_init__(self):
-        if self.den < 1:
-            raise ValueError(f"a kernel's denominator is a positive integer, not {self.den}")
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError(f"a kernel's denominator is a positive integer, not {self.den!r}")
+        if any(type(c) is not int for cell in self.cells.values() for c in cell.values()):
+            raise ValueError("a kernel's coefficients are integers")
         cells = {ij: kept for ij, cell in self.cells.items() if (kept := {key: c for key, c in cell.items() if c})}
         object.__setattr__(self, "cells", MappingProxyType(cells))
 

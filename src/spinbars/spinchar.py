@@ -77,6 +77,9 @@ class SpinLabel:
     tag: str
 
     def __post_init__(self):
+        # a Partition with repeated parts has no bits and no values
+        if not isinstance(self.lam, BarPartition):
+            raise TypeError(f"a spin label's partition is a BarPartition, not {self.lam!r}")
         s = sigma(self.lam)
         if self.tag not in tags(s, pair_sign(self.group, self.n)):
             raise ValueError(f"tag {self.tag!r} inconsistent with sigma={s} for {self.lam} in {self.group}")

@@ -10,8 +10,9 @@ covers the block's p-regular split classes for the Z-span decision, and the
 report of ``verify_basic_set`` carries it; ``split_table`` covers every
 split class, for the kernels and the perfectness check in ``isometry``.
 Neither is cached: each call builds the table.  ``AlgNum`` appears only at
-the API and JSON boundary (``restricted_matrix``, ``integer_expansion`` and
-``z_span_equal`` take and give exact values).  Every question about the
+the API: ``restricted_matrix``, ``integer_expansion`` and ``z_span_equal``
+take and give exact values, which carry no arithmetic, and the CLI renders
+the report's values from the integer table.  Every question about the
 table is then one about integer matrices.  The Z-span decision
 (``_z_span``) decides a pass modulo the word prime Q, by one Gauss-Jordan
 echelon of the candidate rows packed into 64-bit fields, and proves it by
@@ -42,9 +43,6 @@ class ValueMatrix:
     row_keys: tuple
     classes: tuple
     entries: tuple[tuple[AlgNum, ...], ...]
-
-    def row(self, key) -> tuple[AlgNum, ...]:
-        return self.entries[self.row_keys.index(key)]
 
 
 @dataclass(frozen=True)

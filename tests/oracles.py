@@ -17,8 +17,11 @@ time, and the split classes by a filter over every partition.
 ``expand_z`` writes a kernel over the library's split classes out over
 both central translates of each class, which the library leaves implicit.
 ``cli_payload`` builds the CLI's whole payload as one tree of dicts, with a
-dict per matrix cell (``values_json``), for one ``json.dumps``: the byte
-oracle of the streamed output.
+dict per matrix cell (``values_json``, by ``Exact.to_json``), for one
+``json.dumps``: the byte oracle of the streamed output.
+``Exact`` is the field arithmetic on the library's ``AlgNum`` values, which
+carry none: the AlgNum references above compute on values lifted by
+``Exact.of``.
 """
 
 from __future__ import annotations
@@ -30,14 +33,153 @@ from itertools import product
 from math import lcm, prod
 
 from spinbars import cli, spinchar
-from spinbars.algnum import ZERO, AlgNum
+from spinbars.algnum import AlgNum, squarefree_split, unit_product
 from spinbars.barcomb import BarPartition, BarQuotient, bar_removals, partitions
 from spinbars.blocks import SIDE_G, LocalLabel, block_of
-from spinbars.isometry import BroueReport, Kernel, split_value_matrix
+from spinbars.isometry import BroueReport, IsometrySpec, Kernel, split_value_matrix
 from spinbars.spinchar import (
     MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, is_odd_type, is_strict, labels, z_cycle,
 )
 from spinbars.zverify import ValueMatrix
+
+
+def _exact(x):
+    """x as an Exact, or None when it is no exact value."""
+    if isinstance(x, Exact):
+        return x
+    if isinstance(x, AlgNum):
+        return Exact(x.coefficients())
+    if isinstance(x, (int, Fraction)):
+        return Exact.from_rational(x)
+    return None
+
+
+class Exact(AlgNum):
+    """An AlgNum with field arithmetic: +, -, *, division by a rational, conjugation.
+
+    An int or a Fraction stands for the rational value, in arithmetic and
+    in equality; every result is an Exact.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, v) -> Exact:
+        """The library's value v (an AlgNum, int or Fraction) with arithmetic."""
+        out = _exact(v)
+        if out is None:
+            raise TypeError(f"{v!r} is not an exact value")
+        return out
+
+    @classmethod
+    def from_rational(cls, q) -> Exact:
+        return cls({(1, 0): q})
+
+    @classmethod
+    def sqrt_int(cls, m: int) -> Exact:
+        """Exact square root of the non-negative integer m."""
+        if m == 0:
+            return cls()
+        s, d = squarefree_split(m)
+        return cls({(d, 0): Fraction(s)})
+
+    @classmethod
+    def i_power(cls, k: int) -> Exact:
+        return (cls.from_rational(1), cls({(1, 1): 1}), cls.from_rational(-1), cls({(1, 1): -1}))[k % 4]
+
+    @property
+    def terms(self):
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_rational(self) -> bool:
+        return all(k == (1, 0) for k, _ in self._terms)
+
+    def as_rational(self) -> Fraction:
+        if not self._terms:
+            return Fraction(0)
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        return self._terms[0][1]
+
+    def __eq__(self, other):
+        other = _exact(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
+
+    __hash__ = AlgNum.__hash__
+
+    def __add__(self, other):
+        other = _exact(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for k, c in other._terms:
+            out[k] = out.get(k, Fraction(0)) + c
+        return Exact(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Exact({k: -c for k, c in self._terms})
+
+    def __sub__(self, other):
+        other = _exact(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _exact(other)
+        if other is None:
+            return NotImplemented
+        out = {}
+        for k1, c1 in self._terms:
+            for k2, c2 in other._terms:
+                s, k = unit_product(k1, k2)
+                out[k] = out.get(k, Fraction(0)) + c1 * c2 * s
+        return Exact(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other != 0:
+            return self * (1 / Fraction(other))
+        return NotImplemented
+
+    def conjugate(self) -> Exact:
+        return Exact({(d, e): -c if e else c for (d, e), c in self._terms})
+
+    def to_json(self) -> dict:
+        """{"re": [[num, den, d], ...], "im": [...]} with terms (num/den)*sqrt(d): the report's value form."""
+        re, im = [], []
+        for (d, e), c in self._terms:
+            (im if e else re).append([c.numerator, c.denominator, d])
+        return {"re": re, "im": im}
+
+
+ZERO = Exact()
+ONE = Exact.from_rational(1)
+I = Exact({(1, 1): 1})
+
+
+def value_row(values: ValueMatrix, key) -> tuple[AlgNum, ...]:
+    """The row of the label key in a value matrix, by a scan of its row keys."""
+    return values.entries[values.row_keys.index(key)]
+
+
+def image(iso: IsometrySpec, x) -> tuple:
+    """(target, sign) of the source label x under a signed bijection, by a scan of its triples."""
+    for s, t, sign in iso.mapping:
+        if s == x:
+            return t, sign
+    raise KeyError(x)
 
 
 def strict_partitions_by_filter(n: int) -> set[tuple[int, ...]]:
@@ -440,29 +582,29 @@ def z_span_by_transform(candidate_keys, row_keys, int_rows) -> tuple[bool, dict,
     return ok, coordinates, len(_hnf_with_transform(int_rows)[0]), rank
 
 
-def _kernel_entry(kernel: Kernel, cell: dict) -> AlgNum:
-    return AlgNum({key: Fraction(c, kernel.den) for key, c in cell.items()})
+def _kernel_entry(kernel: Kernel, cell: dict) -> Exact:
+    return Exact({key: Fraction(c, kernel.den) for key, c in cell.items()})
 
 
 def kernel_table(kernel: Kernel) -> tuple:
-    """The dense table of AlgNum entries, table[i][j] over source x target classes."""
+    """The dense table of Exact entries, table[i][j] over source x target classes."""
     table = [[ZERO] * len(kernel.target_classes) for _ in kernel.source_classes]
     for (i, j), cell in kernel.cells.items():
         table[i][j] = _kernel_entry(kernel, cell)
     return tuple(map(tuple, table))
 
 
-def kernel_value(kernel: Kernel, x, y) -> AlgNum:
-    """The kernel's AlgNum entry at the source class x and the target class y."""
+def kernel_value(kernel: Kernel, x, y) -> Exact:
+    """The kernel's Exact entry at the source class x and the target class y."""
     cell = kernel.cells.get((kernel.source_classes.index(x), kernel.target_classes.index(y)))
     return _kernel_entry(kernel, cell) if cell else ZERO
 
 
 def kernel_from_table(source_classes, target_classes, table) -> Kernel:
     """The kernel of a dense table of AlgNum entries, over their common denominator."""
-    den = lcm(1, *(c.denominator for row in table for v in row for _, c in v.terms))
+    den = lcm(1, *(c.denominator for row in table for v in row for c in v.coefficients().values()))
     cells = {
-        (i, j): {key: int(c * den) for key, c in v.terms}
+        (i, j): {key: int(c * den) for key, c in v.coefficients().items()}
         for i, row in enumerate(table)
         for j, v in enumerate(row)
         if v
@@ -479,7 +621,7 @@ def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
     for i in range(len(a.source_classes)):
         row = []
         for k in range(len(b.target_classes)):
-            total = AlgNum()
+            total = ZERO
             for j, y in enumerate(a.target_classes):
                 total = total + ta[i][j] * tb[j][k] * Fraction(2, y.centralizer_order)
             row.append(total)
@@ -487,13 +629,11 @@ def compose_kernel(a: Kernel, b: Kernel) -> Kernel:
     return kernel_from_table(a.source_classes, b.target_classes, table)
 
 
-def value_vector(x: SpinLabel, classes: tuple[SplitClass, ...]) -> tuple[AlgNum, ...]:
-    return tuple(char_value(x, c) for c in classes)
+def value_vector(x: SpinLabel, classes: tuple[SplitClass, ...]) -> tuple[Exact, ...]:
+    return tuple(Exact.of(char_value(x, c)) for c in classes)
 
 
-def inner_product(
-    f: tuple[AlgNum, ...], g: tuple[AlgNum, ...], classes: tuple[SplitClass, ...]
-) -> Fraction:
+def inner_product(f: tuple[Exact, ...], g: tuple[Exact, ...], classes: tuple[SplitClass, ...]) -> Fraction:
     """Hermitian inner product of two spin value vectors over a class list.
 
     Class sizes enter through the stored centralizer orders.  Spin
@@ -502,23 +642,26 @@ def inner_product(
     """
     if not (len(f) == len(g) == len(classes)):
         raise ValueError("vectors and class list must have equal length")
-    total = AlgNum()
+    total = ZERO
     for vf, vg, c in zip(f, g, classes):
         total = total + vf * vg.conjugate() * Fraction(2, c.centralizer_order)
     return total.as_rational()
 
 
 def kernel_of_algnum(iso, source_values, target_values) -> Kernel:
-    """Kernel table summed entry by entry in AlgNum arithmetic."""
+    """Kernel table summed entry by entry in Exact arithmetic."""
     terms = [
-        ([sign * v.conjugate() for v in source_values.row(s)], target_values.row(t))
+        (
+            [sign * Exact.of(v).conjugate() for v in value_row(source_values, s)],
+            [Exact.of(v) for v in value_row(target_values, t)],
+        )
         for s, t, sign in iso.mapping
     ]
     table = []
     for i in range(len(source_values.classes)):
         row = []
         for j in range(len(target_values.classes)):
-            total = AlgNum()
+            total = ZERO
             for vs, vt in terms:
                 total = total + vs[i] * vt[j]
             row.append(total)
@@ -527,27 +670,27 @@ def kernel_of_algnum(iso, source_values, target_values) -> Kernel:
 
 
 def perfect_check_algnum(iso, p: int, block) -> bool:
-    """Perfectness by projecting each restricted character in AlgNum arithmetic."""
+    """Perfectness by projecting each restricted character in Exact arithmetic."""
     values = split_value_matrix(block)
     classes = values.classes
-    vec = dict(zip(values.row_keys, values.entries))
+    vec = {key: [Exact.of(v) for v in row] for key, row in zip(values.row_keys, values.entries)}
     for chi in values.row_keys:
         restricted = tuple(
-            v if c.is_regular(p) else AlgNum() for v, c in zip(vec[chi], classes)
+            v if c.is_regular(p) else ZERO for v, c in zip(vec[chi], classes)
         )
         # project the restricted function onto the block, then map
-        lhs = [AlgNum()] * len(classes)
+        lhs = [ZERO] * len(classes)
         for eta in values.row_keys:
-            coeff = AlgNum()
+            coeff = ZERO
             for v, w, c in zip(restricted, vec[eta], classes):
                 # c stands for c and zc, where v and w both change sign
                 coeff = coeff + v * w.conjugate() * Fraction(2, c.centralizer_order)
-            img, sign = iso.image(eta)
+            img, sign = image(iso, eta)
             if not coeff.is_zero():
                 lhs = [acc + sign * coeff * v for acc, v in zip(lhs, vec[img])]
-        img, sign = iso.image(chi)
+        img, sign = image(iso, chi)
         rhs = [
-            sign * v if c.is_regular(p) else AlgNum() for v, c in zip(vec[img], classes)
+            sign * v if c.is_regular(p) else ZERO for v, c in zip(vec[img], classes)
         ]
         if lhs != rhs:
             return False
@@ -622,19 +765,18 @@ def expand_z(kernel) -> Kernel:
 
 def z_value_matrix(values):
     """A value matrix over z_classes of its classes: each value, then its negative at zx."""
-    entries = tuple(tuple(u for v in row for u in (v, -v)) for row in values.entries)
+    entries = tuple(tuple(u for v in map(Exact.of, row) for u in (v, -v)) for row in values.entries)
     return ValueMatrix(values.row_keys, z_classes(values.classes), entries)
 
 
 def values_json(table) -> list[list[dict]]:
-    """Each row's values in AlgNum.to_json form: the table holds twice each value, a/2 in lowest terms."""
+    """Each row's values by ``Exact.to_json``: the table holds twice each value, so a is a/2."""
     out = []
     for row in table.rows:
-        cells = [{"re": [], "im": []} for _ in table.classes]
-        for (j, (d, e)), a in zip(table.columns, row):
-            if a:
-                cells[j]["im" if e else "re"].append([a, 2, d] if a % 2 else [a // 2, 1, d])
-        out.append(cells)
+        cells = [{} for _ in table.classes]
+        for (j, unit), a in zip(table.columns, row):
+            cells[j][unit] = Fraction(a, 2)
+        out.append([Exact(cell).to_json() for cell in cells])
     return out
 
 

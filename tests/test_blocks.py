@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from spinbars.blocks import (
     local_basic_labels,
     local_side,
 )
+from spinbars.cli import _block_json
 from spinbars.isometry import iso_I
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, epsilon_twist, labels, split_classes
 from oracles import brauer_count_closed_form, local_basic_labels_dense
@@ -269,3 +271,10 @@ def test_block_id_takes_integers(p, weight):
     # 3.0 would pass is_odd_prime as one of its bases
     with pytest.raises(TypeError):
         BlockId(SYM, p, EMPTY, weight)
+
+
+def test_block_id_stores_weight_as_int():
+    # True would pass index() and reach the JSON report as true
+    b = BlockId(SYM, 3, EMPTY, True)
+    assert type(b.weight) is int and b == BlockId(SYM, 3, EMPTY, 1)
+    assert '"weight": 1,' in json.dumps(_block_json(b))

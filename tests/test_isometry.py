@@ -1,9 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from spinbars import isometry
-from spinbars.algnum import AlgNum
 from spinbars.barcomb import BarPartition, bar_core_quotient, bar_partitions, delta_bar, sigma
 from spinbars.blocks import (
     SIDE_G,
@@ -33,10 +33,12 @@ from spinbars.isometry import (
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
 from spinbars.zverify import block_table, restricted_matrix, split_table
 from oracles import (
+    Exact,
     ZClass,
     broue_check_by_coefficients,
     compose_kernel,
     expand_z,
+    image,
     kernel_from_table,
     kernel_of_algnum,
     kernel_table,
@@ -47,7 +49,7 @@ from oracles import (
 
 
 def num(x):
-    return AlgNum.from_rational(x)
+    return Exact.from_rational(x)
 
 
 def block_n3():
@@ -74,7 +76,8 @@ class TestIsometrySpec:
     def test_rejects_signs_other_than_plus_minus_one(self):
         members = block_members(block_n3())
         a, b, c = members
-        for sign in (0, 2, -2):
+        # 1.0 and True equal 1 but are no int signs; a 1.0 sign made float kernel cells
+        for sign in (0, 2, -2, 1.0, True):
             with pytest.raises(ValueError):
                 IsometrySpec(((a, a, 1), (b, b, sign), (c, c, 1)))
 
@@ -84,7 +87,7 @@ class TestIsometrySpec:
             for _ in range(3):
                 f = _random_signed_bijection(members, rng)
                 g = _random_signed_bijection(members, rng)
-                want = tuple((s, g.image(t)[0], sign * g.image(t)[1]) for s, t, sign in f.mapping)
+                want = tuple((s, image(g, t)[0], sign * image(g, t)[1]) for s, t, sign in f.mapping)
                 assert f.compose(g).mapping == want, b
 
     def test_compose_refuses_mismatched_middle_sets(self):
@@ -162,7 +165,7 @@ class TestIsoI:
                 continue
             iso = iso_I(b)
             for s, t, sign in iso.mapping:
-                t2, sign2 = iso.image(epsilon_twist(s))
+                t2, sign2 = image(iso, epsilon_twist(s))
                 assert sign2 == sign
                 assert t2.quotient == t.quotient
                 if s.tag == SELF:
@@ -384,12 +387,19 @@ class TestKernelOf:
         K3 = Kernel(K.source_classes, K.target_classes, padded, K.den)
         assert K3.cells == K.cells and K3 == K and hash(K3) == hash(K)
 
-    @pytest.mark.parametrize("den", [0, -4])
+    @pytest.mark.parametrize("den", [0, -4, 4.0, True])
     def test_denominator_below_one_raises(self, den):
         # with den = 0, cross-multiplied equality would make every kernel of one support equal
         K = block_kernel(identity_iso(block_n3()), block_n3())
         with pytest.raises(ValueError, match="denominator"):
             Kernel(K.source_classes, K.target_classes, K.cells, den)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, Fraction(1, 2), True])
+    def test_coefficients_must_be_ints(self, c):
+        K = block_kernel(identity_iso(block_n3()), block_n3())
+        cells = {**K.cells, (0, 0): {(1, 0): c}}
+        with pytest.raises(ValueError, match="coefficients are integers"):
+            Kernel(K.source_classes, K.target_classes, cells, K.den)
 
 
 def _pairs(members) -> list:

@@ -4,6 +4,7 @@ import pkgutil
 from pathlib import Path
 
 import spinbars
+from spinbars import algnum, isometry, zverify
 
 
 def test_no_assert_statements():
@@ -84,3 +85,19 @@ def test_traced_names_exist():
         if not hasattr(importlib.import_module(f"spinbars.{module}"), name)
     ]
     assert missing == []
+
+
+def test_value_arithmetic_lives_in_the_oracles():
+    # AlgNum is the value type char_value returns; its arithmetic, rational
+    # helpers, JSON form and the linear lookups live in tests/oracles.py
+    moved = [
+        (algnum.AlgNum, (
+            "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+            "conjugate", "from_rational", "sqrt_int", "i_power", "is_rational", "as_rational", "terms", "is_zero",
+            "to_json",
+        )),
+        (algnum, ("ZERO", "ONE", "I", "_coerce")),
+        (zverify.ValueMatrix, ("row",)),
+        (isometry.IsometrySpec, ("image",)),
+    ]
+    assert [(obj.__name__, name) for obj, names in moved for name in names if hasattr(obj, name)] == []
