@@ -1,9 +1,9 @@
 """Bar-partition combinatorics.
 
-Strict (bar) partitions, their signs, the p-bar core/quotient
-correspondence on the two-runner abacus, the relative sign accumulated by
-p-bar removals, the doubling map to ordinary partitions, and the ordinary
-p-core/p-quotient needed by the doubling test.
+Strict (bar) partitions, their signs, the split of a bar partition into
+its p-bar core and quotient on the two-runner abacus, and the relative sign
+accumulated by p-bar removals.  Each of these takes a ``BarPartition`` and
+refuses a plain ``Partition``, whose repeated parts have no p-bar core.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from operator import index, le, lt
 
 __all__ = [
-    "BarPartition", "BarQuotient", "Partition", "bar_core_quotient", "bar_partitions", "delta_bar",
-    "doubling", "from_core_quotient", "is_bar_core", "partition_core_quotient", "partitions", "sigma",
+    "BarPartition", "BarQuotient", "Partition", "bar_core_quotient", "bar_partitions", "delta_bar", "is_bar_core",
+    "partitions", "sigma",
 ]
 
 
@@ -92,6 +92,12 @@ class BarPartition(Partition):
 _EMPTY = Partition(())
 
 
+def require_bar(lam) -> None:
+    """TypeError unless lam is a BarPartition: a plain Partition may repeat a part, and then has no p-bar core."""
+    if not isinstance(lam, BarPartition):
+        raise TypeError(f"expected a BarPartition, not {lam!r}")
+
+
 @dataclass(frozen=True, init=False)
 class BarQuotient:
     """Quotient attached to a bar partition modulo an odd prime p.
@@ -109,10 +115,14 @@ class BarQuotient:
     p: int
 
     def __init__(self, lambda0: BarPartition, components: dict, p: int):
+        require_bar(lambda0)
         m = (p - 1) // 2
         items = sorted(components.items())
         if items and not 1 <= items[0][0] <= items[-1][0] <= m:
             raise ValueError(f"residue pairs run from 1 to {m}, got {sorted(components)}")
+        # a BarPartition component would never equal the Partition bar_core_quotient builds
+        if any(type(c) is not Partition for _, c in items):
+            raise TypeError(f"quotient components are Partitions, got {components!r}")
         object.__setattr__(self, "lambda0", lambda0)
         object.__setattr__(self, "occupied", tuple((i, c) for i, c in items if c.parts))
         object.__setattr__(self, "p", p)
@@ -172,6 +182,7 @@ def partitions(n: int) -> list[Partition]:
 
 def sigma(lam: BarPartition) -> int:
     """Sign (-1)**(n - length); +1 on the even-sign class of strict partitions."""
+    require_bar(lam)
     return -1 if (lam.n - lam.length) % 2 else 1
 
 
@@ -198,15 +209,6 @@ def _pair_to_partition(aset: frozenset[int], bset: frozenset[int]) -> tuple[int,
     return charge, Partition(tuple(a for a in parts if a > 0))
 
 
-def _pair_from_partition(charge: int, mu: Partition) -> tuple[frozenset[int], frozenset[int]]:
-    size = mu.length + abs(charge) + 1
-    beta = [mu.parts[j] + (size - 1 - j) if j < mu.length else (size - 1 - j) for j in range(size)]
-    shift = size - charge
-    aset = frozenset(x - shift for x in beta if x >= shift)
-    bset = frozenset(shift - 1 - x for x in range(shift) if x not in beta)
-    return aset, bset
-
-
 def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuotient]:
     """Split a bar partition into its p-bar core and quotient.
 
@@ -220,6 +222,7 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
     carries the empty partition with charge 0, so neither the work nor the
     quotient grows with p.
     """
+    require_bar(lam)
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     lambda0 = BarPartition(tuple(sorted((a // p for a in lam.parts if a % p == 0), reverse=True)))
@@ -242,34 +245,10 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
 
 def is_bar_core(lam: BarPartition, p: int) -> bool:
     """True when no p-bar can be removed from lam."""
+    require_bar(lam)
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     return not bar_removals(lam.parts, p)
-
-
-def from_core_quotient(core: BarPartition, quotient: BarQuotient, p: int) -> BarPartition:
-    """Inverse of :func:`bar_core_quotient` on valid (core, quotient) pairs."""
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if quotient.p != p:
-        raise ValueError(f"quotient was built for p={quotient.p}, not {p}")
-    if not is_bar_core(core, p):
-        raise ValueError(f"{core} admits a removable {p}-bar")
-    parts = [p * a for a in quotient.lambda0.parts]
-    # a residue pair with no core part and an empty component adds no part
-    components = dict(quotient.occupied)
-    pairs = {min(a % p, p - a % p) for a in core.parts if a % p}.union(components)
-    for i in sorted(pairs):
-        charge = sum(1 for a in core.parts if a % p == i) - sum(
-            1 for a in core.parts if a % p == p - i
-        )
-        aset, bset = _pair_from_partition(charge, components.get(i, _EMPTY))
-        parts.extend(i + k * p for k in aset)
-        parts.extend((p - i) + k * p for k in bset)
-    result = BarPartition(tuple(sorted(parts, reverse=True)))
-    if result.n != core.n + p * quotient.weight:
-        raise RuntimeError(f"{result} does not have the size of core {core} plus weight {quotient.weight}")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +291,7 @@ def delta_bar(lam: BarPartition, p: int) -> int:
     core.  Independent of the removal order (a tested invariant); +1 on
     p-bar cores.
     """
+    require_bar(lam)
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     sign, parts = 1, lam.parts
@@ -319,49 +299,3 @@ def delta_bar(lam: BarPartition, p: int) -> int:
         parts, leg = moves[0]
         sign *= (-1) ** leg
     return sign
-
-
-def doubling(lam: BarPartition) -> Partition:
-    """Ordinary partition of 2n with Frobenius symbol (a_i, a_i - 1) for parts a_i."""
-    k = lam.length
-    if k == 0:
-        return Partition(())
-    arms = lam.parts
-    legs = tuple(a - 1 for a in lam.parts)
-    nrows = legs[0] + 1
-    row_lengths = []
-    for i in range(nrows):
-        # cells left of the diagonal in row i: columns j < i with leg b_j >= i - j
-        below = sum(1 for j in range(min(i, k)) if legs[j] >= i - j)
-        row_lengths.append((arms[i] + 1 + below) if i < k else below)
-    return Partition(tuple(row_lengths))
-
-
-def partition_core_quotient(mu: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
-    """Standard abacus p-core and p-quotient of an ordinary partition.
-
-    The beta-set size is padded to a multiple of p, so the runner labels are
-    canonical; component j (1-based) is runner (j + (p-1)//2) mod p, which
-    places the runner of the parts congruent to the beta-shift at the middle
-    component index (p+1)/2.  Locked by the doubling test.
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    size = ((mu.length // p) + 1) * p
-    beta = [mu.parts[j] + (size - 1 - j) if j < mu.length else (size - 1 - j) for j in range(size)]
-    runners = [sorted(((b - r) // p for b in beta if b % p == r), reverse=True) for r in range(p)]
-    comps = []
-    core_counts = [len(runner) for runner in runners]
-    for runner in runners:
-        m = len(runner)
-        comps.append(Partition(tuple(x for x in (runner[t] - (m - 1 - t) for t in range(m)) if x > 0)))
-    core_beta = sorted(
-        (k * p + r for r in range(p) for k in range(core_counts[r])), reverse=True
-    )
-    core_parts = [core_beta[j] - (size - 1 - j) for j in range(size)]
-    core = Partition(tuple(a for a in core_parts if a > 0))
-    shift = (p - 1) // 2
-    quotient = tuple(comps[(j + shift) % p] for j in range(1, p + 1))
-    if core.n + p * sum(c.n for c in quotient) != mu.n:
-        raise RuntimeError(f"core {core} and quotient {quotient} do not rebuild {mu}")
-    return core, quotient

@@ -30,13 +30,14 @@ from .barcomb import (
     is_bar_core,
     is_odd_prime,
     partitions,
+    require_bar,
     sigma,
 )
 from .spinchar import MARKS, SpinLabel, labels, pair_sign, tags
 
 __all__ = [
-    "BlockId", "LocalLabel", "basic_set", "block_members", "block_of", "block_partition",
-    "brauer_count", "local_basic_labels", "local_side",
+    "BlockId", "LocalLabel", "basic_set", "block_members", "block_partition", "brauer_count",
+    "local_basic_labels", "local_side",
 ]
 
 SIDE_G = "G"
@@ -55,6 +56,7 @@ class BlockId:
     weight: int
 
     def __post_init__(self):
+        require_bar(self.core)  # a Partition with repeated parts would pass as a core with no members
         pair_sign(self.group, self.n)  # raises on an unknown group
         if not is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
@@ -98,12 +100,6 @@ class LocalLabel:
     def __repr__(self):
         comps = ",".join(str(c.parts) for c in self.quotient.components)
         return f"<{self.side}:({self.quotient.lambda0.parts};{comps}){MARKS[self.tag]}>"
-
-
-def block_of(x: SpinLabel, p: int) -> BlockId:
-    """The block containing the labelled character, per the core rule."""
-    core, quotient = bar_core_quotient(x.lam, p)
-    return BlockId(x.group, p, core, quotient.weight)
 
 
 @lru_cache(maxsize=16)

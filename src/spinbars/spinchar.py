@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algnum import AlgNum, squarefree_split
-from .barcomb import BarPartition, bar_partitions, sigma
+from .barcomb import BarPartition, bar_partitions, require_bar, sigma
 
-__all__ = ["SpinLabel", "SplitClass", "char_value", "degree", "epsilon_twist", "labels", "split_classes"]
+__all__ = ["SpinLabel", "SplitClass", "char_value", "labels", "split_classes"]
 
 SYM = "sym"
 ALT = "alt"
@@ -77,9 +77,7 @@ class SpinLabel:
     tag: str
 
     def __post_init__(self):
-        # a Partition with repeated parts has no bits and no values
-        if not isinstance(self.lam, BarPartition):
-            raise TypeError(f"a spin label's partition is a BarPartition, not {self.lam!r}")
+        require_bar(self.lam)  # a Partition with repeated parts has no bits and no values
         s = sigma(self.lam)
         if self.tag not in tags(s, pair_sign(self.group, self.n)):
             raise ValueError(f"tag {self.tag!r} inconsistent with sigma={s} for {self.lam} in {self.group}")
@@ -103,13 +101,6 @@ def labels(group: str, n: int) -> tuple[SpinLabel, ...]:
         raise ValueError("n must be positive")
     pair = pair_sign(group, n)
     return tuple(SpinLabel(group, lam, tag) for lam in bar_partitions(n) for tag in tags(sigma(lam), pair))
-
-
-def epsilon_twist(x: SpinLabel) -> SpinLabel:
-    """Tensor with the sign lift: swaps the pair, fixes self-associates."""
-    if x.tag == SELF:
-        return x
-    return SpinLabel(x.group, x.lam, MINUS if x.tag == PLUS else PLUS)
 
 
 @dataclass(frozen=True)
@@ -307,20 +298,10 @@ def half_columns(rows: tuple[SpinLabel, ...], c: SplitClass) -> dict[tuple[int, 
     return out
 
 
-def half_coefficients(x: SpinLabel, c: SplitClass) -> dict[tuple[int, int], int]:
-    """Twice the value of the labelled character on the class: the one-row view of ``half_columns``."""
-    return {unit: col[0] for unit, col in half_columns((x,), c).items()}
-
-
 def char_value(x: SpinLabel, c: SplitClass) -> AlgNum:
     """Exact value of the labelled spin character on the given class."""
     if x.group != c.group:
         raise ValueError(f"label group {x.group} does not match class group {c.group}")
     if x.n != c.n:
         raise ValueError(f"label size {x.n} does not match class size {c.n}")
-    return AlgNum({unit: Fraction(h, 2) for unit, h in half_coefficients(x, c).items()})
-
-
-def degree(x: SpinLabel) -> int:
-    """Character degree: the value at the identity class, the last split class."""
-    return half_coefficients(x, split_classes(x.n, group=x.group)[-1])[(1, 0)] // 2
+    return AlgNum({unit: Fraction(col[0], 2) for unit, col in half_columns((x,), c).items()})

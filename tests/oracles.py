@@ -22,6 +22,11 @@ dict per matrix cell (``values_json``, by ``Exact.to_json``), for one
 ``Exact`` is the field arithmetic on the library's ``AlgNum`` values, which
 carry none: the AlgNum references above compute on values lifted by
 ``Exact.of``.
+The maps that only check what the library computes, and that no command
+runs, live here too: the inverse of the p-bar core/quotient split, the
+doubling map with the ordinary p-core/p-quotient whose runner labelling
+``rebuild_from_ordinary_quotient`` shares, the block of one label
+(``block_of``), the sign twist of a label and a character's degree.
 """
 
 from __future__ import annotations
@@ -34,11 +39,14 @@ from math import lcm, prod
 
 from spinbars import cli, spinchar
 from spinbars.algnum import AlgNum, squarefree_split, unit_product
-from spinbars.barcomb import BarPartition, BarQuotient, bar_removals, partitions
-from spinbars.blocks import SIDE_G, LocalLabel, block_of
+from spinbars.barcomb import (
+    BarPartition, BarQuotient, Partition, bar_core_quotient, bar_removals, is_bar_core, is_odd_prime, partitions,
+)
+from spinbars.blocks import SIDE_G, BlockId, LocalLabel
 from spinbars.isometry import BroueReport, IsometrySpec, Kernel, split_value_matrix
 from spinbars.spinchar import (
-    MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, is_odd_type, is_strict, labels, z_cycle,
+    MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, half_columns, is_odd_type, is_strict, labels,
+    split_classes, z_cycle,
 )
 from spinbars.zverify import ValueMatrix
 
@@ -234,6 +242,40 @@ def cores_by_removal(parts: tuple[int, ...], p: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _pair_from_partition(charge: int, mu: Partition) -> tuple[frozenset[int], frozenset[int]]:
+    size = mu.length + abs(charge) + 1
+    beta = [mu.parts[j] + (size - 1 - j) if j < mu.length else (size - 1 - j) for j in range(size)]
+    shift = size - charge
+    aset = frozenset(x - shift for x in beta if x >= shift)
+    bset = frozenset(shift - 1 - x for x in range(shift) if x not in beta)
+    return aset, bset
+
+
+def from_core_quotient(core: BarPartition, quotient: BarQuotient, p: int) -> BarPartition:
+    """Inverse of :func:`bar_core_quotient` on valid (core, quotient) pairs."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if quotient.p != p:
+        raise ValueError(f"quotient was built for p={quotient.p}, not {p}")
+    if not is_bar_core(core, p):
+        raise ValueError(f"{core} admits a removable {p}-bar")
+    parts = [p * a for a in quotient.lambda0.parts]
+    # a residue pair with no core part and an empty component adds no part
+    components = dict(quotient.occupied)
+    pairs = {min(a % p, p - a % p) for a in core.parts if a % p}.union(components)
+    for i in sorted(pairs):
+        charge = sum(1 for a in core.parts if a % p == i) - sum(
+            1 for a in core.parts if a % p == p - i
+        )
+        aset, bset = _pair_from_partition(charge, components.get(i, Partition(())))
+        parts.extend(i + k * p for k in aset)
+        parts.extend((p - i) + k * p for k in bset)
+    result = BarPartition(tuple(sorted(parts, reverse=True)))
+    if result.n != core.n + p * quotient.weight:
+        raise RuntimeError(f"{result} does not have the size of core {core} plus weight {quotient.weight}")
+    return result
+
+
 def delta_values_all_orders(parts: tuple[int, ...], p: int, removals) -> set[int]:
     """Accumulated sign over every removal sequence; removals is bar_removals."""
     moves = removals(parts, p)
@@ -302,6 +344,18 @@ def half_coefficients_by_cell(x, c: SplitClass) -> dict[tuple[int, int], int]:
         if h:
             out[unit] = h
     return out
+
+
+def epsilon_twist(x: SpinLabel) -> SpinLabel:
+    """Tensor with the sign lift: swaps the pair, fixes self-associates."""
+    if x.tag == SELF:
+        return x
+    return SpinLabel(x.group, x.lam, MINUS if x.tag == PLUS else PLUS)
+
+
+def degree(x: SpinLabel) -> int:
+    """Character degree: the value at the identity class, the last split class."""
+    return half_columns((x,), split_classes(x.n, group=x.group)[-1])[(1, 0)][0] // 2
 
 
 def split_class_types_by_filter(group: str, n: int) -> list[tuple[tuple[int, ...], int, int]]:
@@ -387,10 +441,56 @@ def core_by_rim_hooks(parts: tuple[int, ...], p: int) -> set[tuple[int, ...]]:
     return out
 
 
+def doubling(lam: BarPartition) -> Partition:
+    """Ordinary partition of 2n with Frobenius symbol (a_i, a_i - 1) for parts a_i."""
+    k = lam.length
+    if k == 0:
+        return Partition(())
+    arms = lam.parts
+    legs = tuple(a - 1 for a in lam.parts)
+    nrows = legs[0] + 1
+    row_lengths = []
+    for i in range(nrows):
+        # cells left of the diagonal in row i: columns j < i with leg b_j >= i - j
+        below = sum(1 for j in range(min(i, k)) if legs[j] >= i - j)
+        row_lengths.append((arms[i] + 1 + below) if i < k else below)
+    return Partition(tuple(row_lengths))
+
+
+def partition_core_quotient(mu: Partition, p: int) -> tuple[Partition, tuple[Partition, ...]]:
+    """Standard abacus p-core and p-quotient of an ordinary partition.
+
+    The beta-set size is padded to a multiple of p, so the runner labels are
+    canonical; component j (1-based) is runner (j + (p-1)//2) mod p, which
+    places the runner of the parts congruent to the beta-shift at the middle
+    component index (p+1)/2.  Locked by the doubling test.
+    """
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    size = ((mu.length // p) + 1) * p
+    beta = [mu.parts[j] + (size - 1 - j) if j < mu.length else (size - 1 - j) for j in range(size)]
+    runners = [sorted(((b - r) // p for b in beta if b % p == r), reverse=True) for r in range(p)]
+    comps = []
+    core_counts = [len(runner) for runner in runners]
+    for runner in runners:
+        m = len(runner)
+        comps.append(Partition(tuple(x for x in (runner[t] - (m - 1 - t) for t in range(m)) if x > 0)))
+    core_beta = sorted(
+        (k * p + r for r in range(p) for k in range(core_counts[r])), reverse=True
+    )
+    core_parts = [core_beta[j] - (size - 1 - j) for j in range(size)]
+    core = Partition(tuple(a for a in core_parts if a > 0))
+    shift = (p - 1) // 2
+    quotient = tuple(comps[(j + shift) % p] for j in range(1, p + 1))
+    if core.n + p * sum(c.n for c in quotient) != mu.n:
+        raise RuntimeError(f"core {core} and quotient {quotient} do not rebuild {mu}")
+    return core, quotient
+
+
 def rebuild_from_ordinary_quotient(core: tuple[int, ...], quotient, p: int) -> tuple[int, ...]:
     """Inverse abacus: core plus p quotient components back to the partition.
 
-    Uses the same runner labelling as the production code (beta-set size a
+    Uses the runner labelling of ``partition_core_quotient`` (beta-set size a
     multiple of p, component j on runner (j + (p-1)//2) mod p).
     """
     shift = (p - 1) // 2
@@ -421,6 +521,12 @@ def bounded_combination(rows: list[list[int]], target: list[int], bound: int):
         ):
             return coeffs
     return None
+
+
+def block_of(x: SpinLabel, p: int) -> BlockId:
+    """The block containing the labelled character, per the core rule."""
+    core, quotient = bar_core_quotient(x.lam, p)
+    return BlockId(x.group, p, core, quotient.weight)
 
 
 def block_members_by_scan(block) -> tuple:

@@ -12,9 +12,6 @@ from spinbars.barcomb import (
     BarPartition,
     bar_core_quotient,
     bar_partitions,
-    doubling,
-    from_core_quotient,
-    partition_core_quotient,
     sigma,
 )
 from spinbars.blocks import BlockId, basic_set, block_partition, brauer_count
@@ -40,7 +37,18 @@ from spinbars.spinchar import (
     split_classes,
 )
 from spinbars.zverify import block_table, hnf, restricted_matrix, verify_basic_set
-from oracles import I, Exact, brauer_count_closed_form, expand_z, inner_product, kernel_value, value_vector
+from oracles import (
+    I,
+    Exact,
+    brauer_count_closed_form,
+    doubling,
+    expand_z,
+    from_core_quotient,
+    inner_product,
+    kernel_value,
+    partition_core_quotient,
+    value_vector,
+)
 from qfunction_oracle import odd_partitions, spin_value
 
 

@@ -9,25 +9,25 @@ from spinbars.barcomb import (
     BarPartition,
     BarQuotient,
     Partition,
-    _pair_from_partition,
     _pair_to_partition,
     bar_core_quotient,
     bar_partitions,
     bar_removals,
     delta_bar,
-    doubling,
-    from_core_quotient,
     is_bar_core,
     is_odd_prime,
-    partition_core_quotient,
     partitions,
     sigma,
 )
 from oracles import (
+    _pair_from_partition,
     cores_by_removal,
     core_by_rim_hooks,
     delta_values_all_orders,
+    doubling,
+    from_core_quotient,
     is_odd_prime_by_trial_division,
+    partition_core_quotient,
     rebuild_from_ordinary_quotient,
     strict_partitions_by_filter,
 )
@@ -68,6 +68,28 @@ def test_partition_parts_must_be_integers(cls, parts):
     # a float part would pass the order checks and spread through bar_core_quotient
     with pytest.raises(TypeError):
         cls(parts)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: sigma(Partition((2, 2))), id="sigma"),
+        pytest.param(lambda: is_bar_core(Partition((2, 2)), 3), id="is_bar_core"),
+        pytest.param(lambda: delta_bar(Partition((4, 4)), 3), id="delta_bar"),
+        pytest.param(lambda: bar_core_quotient(Partition((2, 2)), 3), id="bar_core_quotient"),
+        pytest.param(lambda: bar_core_quotient(Partition((2, 1)), 3), id="bar_core_quotient-strict-partition"),
+        pytest.param(lambda: BarQuotient(Partition((1, 1)), {}, 3), id="BarQuotient-lambda0"),
+        pytest.param(lambda: BarQuotient(BarPartition(()), {1: (1,)}, 3), id="BarQuotient-tuple-component"),
+        pytest.param(
+            lambda: BarQuotient(BarPartition(()), {1: BarPartition((1,))}, 3), id="BarQuotient-bar-component"
+        ),
+    ],
+)
+def test_bar_inputs_must_be_bar_partitions(call):
+    # a plain Partition may repeat a part: sigma, is_bar_core and delta_bar
+    # answered for (2, 2) and (4, 4) as if it were strict
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestEnumeration:

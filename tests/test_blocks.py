@@ -6,10 +6,10 @@ import pytest
 from spinbars import barcomb, blocks, isometry
 from spinbars.barcomb import (
     BarPartition,
+    Partition,
     bar_core_quotient,
     bar_partitions,
     delta_bar,
-    from_core_quotient,
     is_bar_core,
     partitions,
 )
@@ -19,7 +19,6 @@ from spinbars.blocks import (
     BlockId,
     LocalLabel,
     basic_set,
-    block_of,
     block_partition,
     brauer_count,
     local_basic_labels,
@@ -27,8 +26,14 @@ from spinbars.blocks import (
 )
 from spinbars.cli import _block_json
 from spinbars.isometry import iso_I
-from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, epsilon_twist, labels, split_classes
-from oracles import brauer_count_closed_form, local_basic_labels_dense
+from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, labels, split_classes
+from oracles import (
+    block_of,
+    brauer_count_closed_form,
+    epsilon_twist,
+    from_core_quotient,
+    local_basic_labels_dense,
+)
 
 
 class TestBlockOf:
@@ -271,6 +276,14 @@ def test_block_id_takes_integers(p, weight):
     # 3.0 would pass is_odd_prime as one of its bases
     with pytest.raises(TypeError):
         BlockId(SYM, p, EMPTY, weight)
+
+
+@pytest.mark.parametrize("core", [Partition((1,)), Partition((2, 2)), (1,)], ids=repr)
+def test_block_id_core_must_be_a_bar_partition(core):
+    # Partition((1,)) printed as the real block's core, had no members, and
+    # verified vacuously with rank 0 against a Brauer count of 2
+    with pytest.raises(TypeError, match="BarPartition"):
+        BlockId(SYM, 3, core, 1)
 
 
 def test_block_id_stores_weight_as_int():

@@ -30,13 +30,14 @@ from spinbars.isometry import (
     swap_J,
     swap_reports,
 )
-from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, epsilon_twist
+from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM
 from spinbars.zverify import block_table, restricted_matrix, split_table
 from oracles import (
     Exact,
     ZClass,
     broue_check_by_coefficients,
     compose_kernel,
+    epsilon_twist,
     expand_z,
     image,
     kernel_from_table,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinbars.algnum import AlgNum
 from spinbars.barcomb import BarPartition, Partition, bar_partitions, partitions, sigma
 from spinbars.blocks import BlockId
 from spinbars.spinchar import (
@@ -13,9 +14,6 @@ from spinbars.spinchar import (
     SYM,
     SpinLabel,
     char_value,
-    degree,
-    epsilon_twist,
-    half_coefficients,
     half_columns,
     is_odd_type,
     labels,
@@ -26,6 +24,8 @@ from spinbars.zverify import block_table
 from oracles import (
     I,
     Exact,
+    degree,
+    epsilon_twist,
     half_coefficients_by_cell,
     inner_product,
     odd_value_by_removal,
@@ -282,7 +282,7 @@ class TestValueColumns:
                 for r, x in enumerate(rows):
                     cell = half_coefficients_by_cell(x, c)
                     assert {unit: col[r] for unit, col in columns.items() if col[r]} == cell, (x, c)
-                    assert half_coefficients(x, c) == cell, (x, c)
+                    assert char_value(x, c) == AlgNum({unit: Fraction(h, 2) for unit, h in cell.items()}), (x, c)
 
     def test_odd_restriction_value_raises_on_both_paths(self, monkeypatch):
         from spinbars import spinchar
@@ -291,7 +291,7 @@ class TestValueColumns:
         c = find_class(split_classes(5, group=ALT), (1, 1, 1, 1, 1))
         monkeypatch.setattr(spinchar, "_odd_column", lambda pi: {x.bits: 1})
         messages = []
-        for path in (lambda: half_columns((x,), c), lambda: half_coefficients(x, c)):
+        for path in (lambda: half_columns((x,), c), lambda: char_value(x, c)):
             with pytest.raises(RuntimeError, match="odd restriction value 1") as exc:
                 path()
             messages.append(str(exc.value))
