@@ -33,7 +33,7 @@ from .barcomb import (
     require_bar,
     sigma,
 )
-from .spinchar import MARKS, SpinLabel, labels, pair_sign, tags
+from .spinchar import MARKS, SpinLabel, labels, pair_sign, require_n, tags
 
 __all__ = [
     "BlockId", "LocalLabel", "basic_set", "block_members", "block_partition", "brauer_count",
@@ -124,7 +124,7 @@ def block_members(block: BlockId) -> tuple[SpinLabel, ...]:
 
 def block_partition(group: str, n: int, p: int) -> list[tuple[BlockId, tuple[SpinLabel, ...]]]:
     """Partition of the spin labels of the cover into blocks, canonical order."""
-    return [(b, tuple(members)) for b, members in _blocks(group, n, p).items()]
+    return [(b, tuple(members)) for b, members in _blocks(group, require_n(n), p).items()]
 
 
 def basic_set(block: BlockId) -> tuple[SpinLabel, ...]:

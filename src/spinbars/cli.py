@@ -6,6 +6,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import groupby
+from operator import itemgetter
 
 from . import zverify
 from .barcomb import P_BOUND, BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
@@ -121,22 +123,36 @@ def _cell_text(units: tuple, values: tuple) -> str:
     return '{"im":[' + ",".join(im) + '],"re":[' + ",".join(re) + "]}"
 
 
+# the cell of a class with no unit column in the table: zero in every row
+_ZERO_CELL = _cell_text((), ())
+
+
+def _label_text(x: SpinLabel) -> str:
+    """``_dumps(_label_json(x))``, by string formatting."""
+    return '{"partition":[' + ",".join(map(str, x.lam.parts)) + '],"tag":"' + x.tag + '"}'
+
+
 def _matrix_text(table: zverify.IntegerTable):
     """The matrix of a verify entry as JSON text in pieces, one per row, straight from its integer table.
 
-    The columns are sorted by class index, so each class's cell is one slice
-    of a row; a cell's text is memoised by the slice's units and values, and
-    a one-unit cell (every class but an alternating pair's own) by its one
-    integer, which is cheaper to take and hash than a slice.
+    The columns are sorted by class index, so each class with unit columns
+    has its cell in one slice of a row, and every run of classes without
+    one is constant text between those cells.  A cell's text is memoised by
+    the slice's units and values, and a one-unit cell (every class but an
+    alternating pair's own) by its one integer, which is cheaper to take and
+    hash than a slice.
     """
-    units_of = [[] for _ in table.classes]
-    for j, unit in table.columns:
-        units_of[j].append(unit)
+    # each class with unit columns as a placeholder in the constant text of the values
     slices, memos, start = [], {}, 0
-    for units in map(tuple, units_of):
-        one = start if len(units) == 1 else None
-        slices.append((start, start + len(units), one, units, memos.setdefault(units, {})))
-        start += len(units)
+    values = [_ZERO_CELL] * len(table.classes)
+    for j, group in groupby(table.columns, itemgetter(0)):
+        units = tuple(unit for _, unit in group)
+        stop = start + len(units)
+        slices.append((start, stop, start if stop - start == 1 else None, units, memos.setdefault(units, {})))
+        values[j] = "\0"
+        start = stop
+    line = [None] * (2 * len(slices) + 1)
+    line[::2] = (',"values":[' + ",".join(values) + "]}").split("\0")
     yield "["
     sep = ""
     for x, row in zip(table.row_keys, table.rows):
@@ -147,7 +163,8 @@ def _matrix_text(table: zverify.IntegerTable):
             if text is None:
                 text = memo[key] = _cell_text(units, row[lo:hi])
             cells.append(text)
-        yield sep + '{"label":' + _dumps(_label_json(x)) + ',"values":[' + ",".join(cells) + "]}"
+        line[1::2] = cells
+        yield sep + '{"label":' + _label_text(x) + "".join(line)
         sep = ","
     yield "]"
 
@@ -163,8 +180,7 @@ def _classes_json(group: str, n: int, p: int) -> tuple[list, str]:
     return classes, _dumps(classes)
 
 
-def _verify(b: BlockId) -> dict:
-    report = zverify.verify_basic_set(b)
+def _verify(b: BlockId, report: zverify.VerificationReport) -> dict:
     return {
         "verdict": "pass" if report.verdict else "fail",
         "basic_set": [_label_json(x) for x in report.candidates],
@@ -188,12 +204,12 @@ def _verify_lines(e: dict) -> list[str]:
     ]
 
 
-def _counts(b: BlockId) -> dict:
+def _counts(b: BlockId, report: zverify.VerificationReport) -> dict:
     return {
         "basic_set_size": len(basic_set(b)),
         "brauer_count": brauer_count(b),
         # k on a pass; the verdict runs the full HNF only on a fail
-        "rank": zverify.verify_basic_set(b).rank_full,
+        "rank": report.rank_full,
     }
 
 
@@ -299,8 +315,8 @@ def _selftest_lines(r: dict) -> list[str]:
 
 
 # each verb, in the parser's order, with the fields it adds to a selected block's
-# _block_json entry (None for cores and selftest, which select no block) and the
-# table lines of one of its entries
+# _block_json entry (None for cores and selftest, which select no block; verify
+# and counts take the block's report too) and the table lines of one of its entries
 COMMANDS = {
     "cores": (None, _cores_lines),
     "blocks": (_blocks, _blocks_lines),
@@ -323,6 +339,10 @@ def _entries(args):
         return _selftest()
     fields, _ = COMMANDS[args.command]
     chosen = _select_blocks(args)
+    if args.command in ("verify", "counts"):
+        # every table of the run from one stream, each decided as it comes
+        reports = map(zverify.verify_table, chosen, zverify.block_tables(chosen))
+        return ({**_block_json(b), **fields(b, report)} for b, report in zip(chosen, reports))
     return ({**_block_json(b), **fields(b)} for b in chosen)
 
 

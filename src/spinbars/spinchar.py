@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import index
 
 from .algnum import AlgNum, squarefree_split
 from .barcomb import BarPartition, bar_partitions, require_bar, sigma
@@ -95,10 +96,22 @@ class SpinLabel:
         return f"<{self.group}:{self.lam.parts}{MARKS[self.tag]}>"
 
 
-def labels(group: str, n: int) -> tuple[SpinLabel, ...]:
-    """All spin labels of the chosen cover, in canonical order."""
+def require_n(n: int) -> int:
+    """n as a positive int: ValueError below 1, TypeError for a bool or a non-integer.
+
+    A cache keyed by n would take True or 3.0 for the int it equals.
+    """
+    if isinstance(n, bool):
+        raise TypeError("n must be an int, not a bool")
+    n = index(n)
     if n < 1:
         raise ValueError("n must be positive")
+    return n
+
+
+def labels(group: str, n: int) -> tuple[SpinLabel, ...]:
+    """All spin labels of the chosen cover, in canonical order."""
+    n = require_n(n)
     pair = pair_sign(group, n)
     return tuple(SpinLabel(group, lam, tag) for lam in bar_partitions(n) for tag in tags(sigma(lam), pair))
 
@@ -167,11 +180,13 @@ def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], i
     return types
 
 
-@lru_cache(maxsize=16)
 def split_classes(n: int, group: str = SYM) -> tuple[SplitClass, ...]:
     """Split classes of the cover, one per central pair {x, zx}, canonical order."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    return _split_classes(require_n(n), group)
+
+
+@lru_cache(maxsize=16)
+def _split_classes(n: int, group: str) -> tuple[SplitClass, ...]:
     types = _class_types(group, n)
     return tuple(SplitClass(group, pi, branch, cent) for pi, branches, cent in types for branch in branches)
 

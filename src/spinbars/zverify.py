@@ -5,12 +5,18 @@ independent units sqrt(d)*i^e, so a block's value table holds twice each
 value, as the value rule ``spinchar.half_columns`` gives it, one class
 column at a time.  A split class x stands for its central translate zx,
 where every value is the exact negative, so any integral relation and any
-kernel condition transfers and the tables carry x alone.  ``block_table``
-covers the block's p-regular split classes for the Z-span decision, and the
-report of ``verify_basic_set`` carries it; ``split_table`` covers every
-split class, for the kernels and the perfectness check in ``isometry``.
-Neither is cached: each call builds the table.  ``AlgNum`` appears only at
-the API: ``restricted_matrix``, ``integer_expansion`` and ``z_span_equal``
+kernel condition transfers and the tables carry x alone.  ``block_tables``
+covers the p-regular split classes of a run's blocks for the Z-span
+decision, and the report of ``verify_basic_set`` carries a block's table;
+``split_table`` covers every split class, for the kernels and the
+perfectness check in ``isometry``.  Tables are built in batches, never
+cached: a run of consecutive defect-zero blocks (one or two rows each,
+and most of the blocks at a large p), no longer than the largest block,
+is one batch, with one ``half_columns`` call per class over all its rows,
+and every other block is a batch of its own; ``block_table`` is the batch
+of one block.  Each block's table keeps the unit columns nonzero on its
+own rows, so a batch changes no table.  ``AlgNum`` appears only at the
+API: ``restricted_matrix``, ``integer_expansion`` and ``z_span_equal``
 take and give exact values, which carry no arithmetic, and the CLI renders
 the report's values from the integer table.  Every question about the
 table is then one about integer matrices.  The Z-span decision
@@ -24,8 +30,10 @@ modular path cannot prove.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 from math import lcm
 from typing import NamedTuple
 
@@ -100,25 +108,72 @@ def restricted_matrix(block: BlockId) -> ValueMatrix:
     return _value_matrix(block_members(block), _regular_classes(block.group, block.n, block.p))
 
 
-def _integer_table(row_keys: tuple, classes: tuple) -> IntegerTable:
-    """The integer value table of the labels over the classes, built one class column at a time."""
-    columns, vectors = [], []
-    for j, c in enumerate(classes):
-        for unit, vector in sorted(half_columns(row_keys, c).items()):
-            columns.append((j, unit))
-            vectors.append(vector)
-    rows = tuple(zip(*vectors)) if vectors else tuple(() for _ in row_keys)
-    return IntegerTable(row_keys, classes, rows, tuple(columns))
+def _batches(blocks):
+    """The members of each block in order, in batches: lists of the blocks' label tuples.
+
+    A batch is a run of consecutive defect-zero blocks with no more rows
+    than the largest of the blocks, so no batch's table outgrows the largest
+    block's; every other block is a batch of its own.
+    """
+    members = [block_members(b) for b in blocks]
+    cap = max(map(len, members))
+    batch, size = [], 0
+    for i, (b, keys) in enumerate(zip(blocks, members)):
+        if batch and not (b.is_defect_zero() and blocks[i - 1].is_defect_zero() and size + len(keys) <= cap):
+            yield batch
+            batch, size = [], 0
+        batch.append(keys)
+        size += len(keys)
+    yield batch
+
+
+def _tables(blocks, classes: tuple):
+    """Each block's integer value table over the classes, in order, built one class column per batch.
+
+    A batch's columns hold every unit nonzero on some row of the batch, and
+    each block keeps those nonzero on its own rows, in the same sorted
+    order: its table is the one its rows alone give.  A lone block keeps
+    them all, since ``half_columns`` leaves out the units zero on every row.
+    """
+    for batch in _batches(blocks):
+        every = tuple(chain.from_iterable(batch))
+        columns, vectors = [], []
+        for j, c in enumerate(classes):
+            for unit, vector in sorted(half_columns(every, c).items()):
+                columns.append((j, unit))
+                vectors.append(vector)
+        rows = list(zip(*vectors)) if vectors else [()] * len(every)
+        del vectors  # the rows hold every value now
+        start = 0
+        for row_keys in batch:
+            own = rows[start : start + len(row_keys)]
+            start += len(row_keys)
+            if len(batch) == 1:
+                yield IntegerTable(row_keys, classes, tuple(own), tuple(columns))
+                continue
+            keep = list(map(any, zip(*own)))
+            own = tuple(tuple(compress(row, keep)) for row in own)
+            yield IntegerTable(row_keys, classes, own, tuple(compress(columns, keep)))
+
+
+def block_tables(blocks) -> Iterator[IntegerTable]:
+    """The integer value table of each of the blocks, in order, over their p-regular split classes.
+
+    The blocks are a nonempty sequence from one (group, n, p).  This stream
+    is the one seam every table over the regular classes comes through:
+    ``block_table`` reads it for one block, and the CLI for its run.
+    """
+    return _tables(blocks, _regular_classes(blocks[0].group, blocks[0].n, blocks[0].p))
 
 
 def block_table(block: BlockId) -> IntegerTable:
     """The block's integer value table over its p-regular split classes."""
-    return _integer_table(block_members(block), _regular_classes(block.group, block.n, block.p))
+    return next(block_tables((block,)))
 
 
 def split_table(block: BlockId) -> IntegerTable:
     """The block's integer value table over every split class."""
-    return _integer_table(block_members(block), split_classes(block.n, group=block.group))
+    return next(_tables((block,), split_classes(block.n, group=block.group)))
 
 
 def integer_expansion(matrix: ValueMatrix) -> tuple[list[list[int]], list, int]:
@@ -407,8 +462,12 @@ def z_span_equal(candidate_keys, matrix: ValueMatrix) -> VerificationReport:
     return _z_span(candidate_keys, matrix.row_keys, integer_expansion(matrix)[0], None)
 
 
+def verify_table(block: BlockId, table: IntegerTable) -> VerificationReport:
+    """Check that the empty-strict-component labels are a Z-basis of the span of the block's table."""
+    return _z_span(basic_set(block), table.row_keys, table.rows, table)
+
+
 def verify_basic_set(block: BlockId) -> VerificationReport:
     """Check that the empty-strict-component labels are a Z-basis of the block span."""
-    table = block_table(block)
-    return _z_span(basic_set(block), table.row_keys, table.rows, table)
+    return verify_table(block, block_table(block))
 

@@ -18,7 +18,11 @@ time, and the split classes by a filter over every partition.
 both central translates of each class, which the library leaves implicit.
 ``cli_payload`` builds the CLI's whole payload as one tree of dicts, with a
 dict per matrix cell (``values_json``, by ``Exact.to_json``), for one
-``json.dumps``: the byte oracle of the streamed output.
+``json.dumps``: the byte oracle of the streamed output.  A block's integer
+table from its own rows alone (``integer_table_by_block``) is the oracle of
+the library's batches of defect-zero blocks, and the matrix text with one
+memoised cell per class and row (``matrix_text_by_cell``) that of the CLI's
+constant text for the classes with no unit column.
 ``Exact`` is the field arithmetic on the library's ``AlgNum`` values, which
 carry none: the AlgNum references above compute on values lifted by
 ``Exact.of``.
@@ -48,7 +52,7 @@ from spinbars.spinchar import (
     MINUS, PLUS, SELF, SYM, SpinLabel, SplitClass, char_value, half_columns, is_odd_type, is_strict, labels,
     split_classes, z_cycle,
 )
-from spinbars.zverify import ValueMatrix
+from spinbars.zverify import IntegerTable, ValueMatrix
 
 
 def _exact(x):
@@ -612,6 +616,46 @@ def dense_integer_expansion(matrix) -> tuple[list[list[int]], list, int]:
         out.append(flat)
     columns = [(j, k) for j in range(len(matrix.classes)) for k in keys]
     return out, columns, den
+
+
+def integer_table_by_block(row_keys: tuple, classes: tuple) -> IntegerTable:
+    """The integer value table of the labels over the classes, built one class column at a time for these rows alone."""
+    columns, vectors = [], []
+    for j, c in enumerate(classes):
+        for unit, vector in sorted(half_columns(row_keys, c).items()):
+            columns.append((j, unit))
+            vectors.append(vector)
+    rows = tuple(zip(*vectors)) if vectors else tuple(() for _ in row_keys)
+    return IntegerTable(row_keys, classes, rows, tuple(columns))
+
+
+def matrix_text_by_cell(table: IntegerTable):
+    """The CLI's matrix text in pieces, one per row, each cell looked up in a memo, every label by ``json``.
+
+    Each class's cell is one slice of a row, memoised by the slice's units
+    and values, a one-unit cell by its one integer.
+    """
+    units_of = [[] for _ in table.classes]
+    for j, unit in table.columns:
+        units_of[j].append(unit)
+    slices, memos, start = [], {}, 0
+    for units in map(tuple, units_of):
+        one = start if len(units) == 1 else None
+        slices.append((start, start + len(units), one, units, memos.setdefault(units, {})))
+        start += len(units)
+    yield "["
+    sep = ""
+    for x, row in zip(table.row_keys, table.rows):
+        cells = []
+        for lo, hi, one, units, memo in slices:
+            key = row[lo:hi] if one is None else row[one]
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = cli._cell_text(units, row[lo:hi])
+            cells.append(text)
+        yield sep + '{"label":' + cli._dumps(cli._label_json(x)) + ',"values":[' + ",".join(cells) + "]}"
+        sep = ","
+    yield "]"
 
 
 def _hnf_with_transform(rows: list[list[int]]):

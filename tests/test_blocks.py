@@ -278,6 +278,21 @@ def test_block_id_takes_integers(p, weight):
         BlockId(SYM, p, EMPTY, weight)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda n: labels(SYM, n), id="labels"),
+        pytest.param(lambda n: split_classes(n), id="split_classes"),
+        pytest.param(lambda n: block_partition(SYM, n, 3), id="block_partition"),
+    ],
+)
+def test_bool_n_is_refused(call):
+    # each is cached by n, where True is 1: True gave the labels, classes or blocks of n = 1
+    call(1)
+    with pytest.raises(TypeError):
+        call(True)
+
+
 @pytest.mark.parametrize("core", [Partition((1,)), Partition((2, 2)), (1,)], ids=repr)
 def test_block_id_core_must_be_a_bar_partition(core):
     # Partition((1,)) printed as the real block's core, had no members, and

@@ -361,18 +361,18 @@ class TestContract:
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         # force a failing verdict to exercise the exit-code contract; the CLI
-        # decides each block through zverify.verify_basic_set
+        # decides each block of its table stream through zverify.verify_table
         from spinbars import zverify
 
-        real = zverify.verify_basic_set
+        real = zverify.verify_table
 
-        def sabotaged(block):  # fails the block of weight 2, passes the defect-zero one
-            rep = real(block)
+        def sabotaged(block, table):  # fails the block of weight 2, passes the defect-zero one
+            rep = real(block, table)
             return zverify.VerificationReport(
                 rep.table, rep.candidates, not block.weight, rep.coordinates, rep.rank_full, rep.rank_candidate
             )
 
-        monkeypatch.setattr(zverify, "verify_basic_set", sabotaged)
+        monkeypatch.setattr(zverify, "verify_table", sabotaged)
         status, out = run_cli(capsys, "verify", "--n", "7", "--p", "3")
         assert status == 1
         # the summary and the status follow the last streamed block
@@ -450,24 +450,33 @@ class TestContract:
                 validate(json.loads(out))
 
     def test_verify_builds_each_table_once(self, capsys, monkeypatch):
-        # the report carries the table it decided on, and the CLI renders that one
-        from spinbars import zverify
+        # each block is decided once, on a table of the run's one stream, and
+        # written once, with the table it was decided on
         from spinbars.blocks import block_partition
 
-        real = zverify._integer_table
-        built = []
+        decide, render = zverify.verify_table, cli._matrix_text
+        decided, written = [], []
 
-        def counted(row_keys, classes):
-            built.append(row_keys)
-            return real(row_keys, classes)
+        def counted_decide(block, table):
+            decided.append((block, table))
+            return decide(block, table)
 
-        monkeypatch.setattr(zverify, "_integer_table", counted)
+        def counted_render(table):
+            written.append(table)
+            return render(table)
+
+        monkeypatch.setattr(zverify, "verify_table", counted_decide)
+        monkeypatch.setattr(cli, "_matrix_text", counted_render)
         for group in ("sym", "alt"):
-            built.clear()
+            decided.clear()
+            written.clear()
             status, out = run_cli(capsys, "verify", "--group", group, "--n", "9", "--p", "3")
             assert status == 0
             validate(json.loads(out))
-            assert built == [members for _, members in block_partition(group, 9, 3)]
+            found = block_partition(group, 9, 3)
+            assert [b for b, _ in decided] == [b for b, _ in found]
+            assert [table.row_keys for _, table in decided] == [members for _, members in found]
+            assert len(written) == len(decided) and all(w is t for w, (_, t) in zip(written, decided))
 
     def test_byte_identical_reruns(self, capsys, monkeypatch):
         args = ["verify", "--group", "alt", "--n", "6", "--p", "3"]
@@ -479,6 +488,28 @@ class TestContract:
         assert run_cli(capsys, "verify", "--n", "3", "--p", "3")[0] == 0
         _, third = run_cli(capsys, *args)
         assert third == first
+
+    @pytest.mark.parametrize("group", ["sym", "alt"])
+    def test_each_block_writes_as_it_does_alone(self, capsys, group):
+        # a full run builds its defect-zero blocks' tables in shared batches; a
+        # --core run builds its one block alone, and each entry's text is the same
+        from spinbars.blocks import block_partition
+
+        def blocks_text(out):
+            head = '"results":[{"blocks":['
+            return out[out.index(head) + len(head) : out.rindex('],"summary":')]
+
+        argv = ["verify", "--group", group, "--n", "16", "--p", "7"]
+        status, whole = run_cli(capsys, *argv)
+        assert status == 0
+        found = [b for b, _ in block_partition(group, 16, 7)]
+        assert sum(len(batch) > 1 for batch in zverify._batches(found)) > 0
+        alone = []
+        for b in found:
+            status, out = run_cli(capsys, *argv, "--core", ",".join(map(str, b.core.parts)) or "-")
+            assert status == 0
+            alone.append(blocks_text(out))
+        assert blocks_text(whole) == ",".join(alone)
 
     def test_zero_cells_render_as_empty_terms(self, capsys):
         from spinbars.blocks import block_partition

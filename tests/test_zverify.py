@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from spinbars.barcomb import BarPartition
 from spinbars.blocks import BlockId, basic_set, block_members, block_partition, brauer_count
-from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, is_odd_type
+from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, is_odd_type, split_classes
 from spinbars.zverify import (
     ValueMatrix,
     block_table,
+    block_tables,
     hnf,
     integer_expansion,
     restricted_matrix,
@@ -31,6 +32,8 @@ from oracles import (
     block_members_by_scan,
     bounded_combination,
     dense_integer_expansion,
+    integer_table_by_block,
+    matrix_text_by_cell,
     values_json,
     z_span_by_transform,
 )
@@ -414,6 +417,66 @@ class TestOracles:
         assert blocks == 388 and two_unit > 0
 
 
+class TestBatches:
+    """Consecutive defect-zero blocks share their class columns; every table is the one its block's rows give alone."""
+
+    GRID = [(n, p) for p in (3, 5, 7, 11, 13) for n in range(1, 15)] + [(25, 11)]
+
+    def test_batched_tables_match_the_one_block_oracle(self):
+        blocks = shared = 0
+        for group in (SYM, ALT):
+            for n, p in self.GRID:
+                found = block_partition(group, n, p)
+                regular = tuple(c for c in split_classes(n, group=group) if c.is_regular(p))
+                want = [integer_table_by_block(members, regular) for _, members in found]
+                chosen = [b for b, _ in found]
+                assert list(block_tables(chosen)) == want, (group, n, p)
+                assert [block_table(b) for b in chosen] == want, (group, n, p)
+                if n <= 12:
+                    every = split_classes(n, group=group)
+                    assert [split_table(b) for b in chosen] == [
+                        integer_table_by_block(members, every) for _, members in found
+                    ], (group, n, p)
+                shared += sum(len(batch) > 1 for batch in zverify._batches(chosen))
+                blocks += len(found)
+        assert blocks == 666 and shared == 74
+
+    def test_batch_rule(self):
+        # runs of defect-zero blocks, no more rows than the largest block; any other block alone
+        for group in (SYM, ALT):
+            for n, p in ((14, 13), (25, 11), (16, 7)):
+                chosen = [b for b, _ in block_partition(group, n, p)]
+                members = [block_members(b) for b in chosen]
+                cap = max(map(len, members))
+                batches = list(zverify._batches(chosen))
+                assert [keys for batch in batches for keys in batch] == members
+                block_of = dict(zip(members, chosen))
+                for batch in batches:
+                    if len(batch) > 1:
+                        assert all(block_of[keys].is_defect_zero() for keys in batch)
+                        assert sum(map(len, batch)) <= cap
+                # a batch ends only where the next block could not join it
+                for before, after in zip(batches, batches[1:]):
+                    joins = block_of[before[-1]].is_defect_zero() and block_of[after[0]].is_defect_zero()
+                    assert not joins or sum(map(len, before)) + len(after[0]) > cap
+
+    def test_rendering_matches_the_per_cell_oracle(self):
+        from spinbars.cli import _matrix_text
+
+        tables = two_unit = zero_runs = 0
+        for group in (SYM, ALT):
+            for p in (3, 5, 7):
+                for n in range(1, 13):
+                    chosen = [b for b, _ in block_partition(group, n, p)]
+                    for table in [*block_tables(chosen), *map(split_table, chosen)]:
+                        assert list(_matrix_text(table)) == list(matrix_text_by_cell(table)), (group, n, p)
+                        units = Counter(j for j, _ in table.columns)
+                        two_unit += sum(1 for count in units.values() if count == 2)
+                        zero_runs += len(table.classes) > len(units)
+                        tables += 1
+        assert tables == 2 * 170 and two_unit > 0 and zero_runs > 0
+
+
 class TestTransformOracle:
     def test_blocks_and_random_rows_match_the_transform_oracle(self):
         blocks = 0
@@ -454,16 +517,25 @@ def perturbed(table, key, j, delta):
     return table._replace(rows=tuple(tuple(r) for r in rows))
 
 
+def fault_each_table(monkeypatch, fault):
+    """Patch block_tables, the one seam of block_table and of the CLI's tables: each table is fault(block, table)."""
+    real_tables = zverify.block_tables
+
+    def faulty_tables(blocks):
+        return map(fault, blocks, real_tables(blocks))
+
+    monkeypatch.setattr(zverify, "block_tables", faulty_tables)
+
+
+def outside_the_span(b, table):
+    """Column 0 of the block's first non-candidate row gains p."""
+    others = [x for x in table.row_keys if x not in set(basic_set(b))]
+    return perturbed(table, others[0], 0, b.p) if others else table
+
+
 def fault_outside_the_span(monkeypatch):
-    """Patch block_table: column 0 of each block's first non-candidate row gains p."""
-    real_table = zverify.block_table
-
-    def faulty_table(b):
-        table = real_table(b)
-        others = [x for x in table.row_keys if x not in set(basic_set(b))]
-        return perturbed(table, others[0], 0, b.p) if others else table
-
-    monkeypatch.setattr(zverify, "block_table", faulty_table)
+    """Patch the tables: column 0 of each block's first non-candidate row gains p."""
+    fault_each_table(monkeypatch, outside_the_span)
 
 
 # sha256 and exit status of the fail outputs at n=10, p=3 under fault_outside_the_span:
@@ -559,17 +631,15 @@ class TestFaultInjection:
     def test_counts_prints_the_full_rank_of_a_fail(self, capsys, monkeypatch):
         from spinbars import cli
 
-        real_table = zverify.block_table
-
-        def faulty_table(b):
-            table = real_table(b)
+        def faulty_table(b, table):
             return perturbed(table, basic_set(b)[0], 0, b.p)
 
-        monkeypatch.setattr(zverify, "block_table", faulty_table)
+        blocks = [b for b, _ in block_partition(SYM, 10, 3)]
+        faulted = [faulty_table(b, block_table(b)) for b in blocks]
+        fault_each_table(monkeypatch, faulty_table)
         assert cli.run(["counts", "--n", "10", "--p", "3"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
-        blocks = [b for b, _ in block_partition(SYM, 10, 3)]
-        assert [r["rank"] for r in results] == [len(hnf(faulty_table(b).rows)) for b in blocks]
+        assert [r["rank"] for r in results] == [len(hnf(table.rows)) for table in faulted]
         assert any(not verify_basic_set(b).verdict for b in blocks)
         assert any(r["rank"] != r["basic_set_size"] for r in results)
 
