@@ -55,6 +55,26 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> int:
+    """p when it is an odd prime: ValueError for any other int (True included), TypeError for a non-integer."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    return p
+
+
+def require_n(n: int, least: int, name: str = "n") -> int:
+    """n as an int of at least ``least`` (0 or 1): ValueError below it, TypeError for a bool or a non-integer.
+
+    A cache keyed by n would take True or 3.0 for the int it equals.
+    """
+    if isinstance(n, bool):
+        raise TypeError(f"{name} must be an int, not a bool")
+    n = index(n)
+    if n < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
+    return n
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordinary partition: weakly decreasing positive parts."""
@@ -116,7 +136,7 @@ class BarQuotient:
 
     def __init__(self, lambda0: BarPartition, components: dict, p: int):
         require_bar(lambda0)
-        m = (p - 1) // 2
+        m = (require_prime(p) - 1) // 2
         items = sorted(components.items())
         if items and not 1 <= items[0][0] <= items[-1][0] <= m:
             raise ValueError(f"residue pairs run from 1 to {m}, got {sorted(components)}")
@@ -146,8 +166,7 @@ class BarQuotient:
 
 def bar_partitions(n: int) -> list[BarPartition]:
     """All strict partitions of n in lexicographically descending order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = require_n(n, 0)
 
     def rec(remaining: int, bound: int) -> list[tuple[int, ...]]:
         if remaining == 0:
@@ -165,8 +184,7 @@ def bar_partitions(n: int) -> list[BarPartition]:
 
 def partitions(n: int) -> list[Partition]:
     """All ordinary partitions of n in lexicographically descending order."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = require_n(n, 0)
 
     def rec(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:
@@ -223,8 +241,7 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
     quotient grows with p.
     """
     require_bar(lam)
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_prime(p)
     lambda0 = BarPartition(tuple(sorted((a // p for a in lam.parts if a % p == 0), reverse=True)))
     components = {}
     core_parts = []
@@ -246,8 +263,7 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
 def is_bar_core(lam: BarPartition, p: int) -> bool:
     """True when no p-bar can be removed from lam."""
     require_bar(lam)
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_prime(p)
     return not bar_removals(lam.parts, p)
 
 
@@ -292,8 +308,7 @@ def delta_bar(lam: BarPartition, p: int) -> int:
     p-bar cores.
     """
     require_bar(lam)
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_prime(p)
     sign, parts = 1, lam.parts
     while moves := bar_removals(parts, p):
         parts, leg = moves[0]

@@ -28,12 +28,13 @@ from .barcomb import (
     BarQuotient,
     bar_core_quotient,
     is_bar_core,
-    is_odd_prime,
     partitions,
     require_bar,
+    require_n,
+    require_prime,
     sigma,
 )
-from .spinchar import MARKS, SpinLabel, labels, pair_sign, require_n, tags
+from .spinchar import MARKS, SpinLabel, labels, pair_sign, tags
 
 __all__ = [
     "BlockId", "LocalLabel", "basic_set", "block_members", "block_partition", "brauer_count",
@@ -57,9 +58,8 @@ class BlockId:
 
     def __post_init__(self):
         require_bar(self.core)  # a Partition with repeated parts would pass as a core with no members
+        require_prime(self.p)
         pair_sign(self.group, self.n)  # raises on an unknown group
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
         # stored as a plain int: True would pass index() and reach the JSON as true
         object.__setattr__(self, "weight", index(self.weight))
         if self.weight < 0:
@@ -124,7 +124,7 @@ def block_members(block: BlockId) -> tuple[SpinLabel, ...]:
 
 def block_partition(group: str, n: int, p: int) -> list[tuple[BlockId, tuple[SpinLabel, ...]]]:
     """Partition of the spin labels of the cover into blocks, canonical order."""
-    return [(b, tuple(members)) for b, members in _blocks(group, require_n(n), p).items()]
+    return [(b, tuple(members)) for b, members in _blocks(group, require_n(n, 1), require_prime(p)).items()]
 
 
 def basic_set(block: BlockId) -> tuple[SpinLabel, ...]:
@@ -153,10 +153,8 @@ def local_basic_labels(w: int, p: int, side: str) -> tuple[LocalLabel, ...]:
     component, larger size first; only occupied residue pairs are visited,
     so the recursion is at most w deep whatever p is.
     """
-    if w < 0:
-        raise ValueError("w must be non-negative")
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    w = require_n(w, 0, "w")
+    require_prime(p)
     if side not in PAIR_SIGN:
         raise ValueError(f"unknown side {side!r}")
     m = (p - 1) // 2

@@ -10,7 +10,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import zverify
-from .barcomb import P_BOUND, BarPartition, bar_core_quotient, bar_partitions, is_odd_prime, sigma
+from .barcomb import P_BOUND, BarPartition, bar_core_quotient, bar_partitions, require_n, require_prime, sigma
 from .blocks import BlockId, basic_set, block_members, block_partition, brauer_count, local_side
 from .isometry import basic_set_transport, iso_I, swap_reports
 from .spinchar import MARKS, SpinLabel
@@ -19,6 +19,11 @@ from .spinchar import MARKS, SpinLabel
 # one encoder for every call, one per matrix row included; entries hold no
 # cycle, so the cycle check buys nothing
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+# a value no entry holds, set where a report's hand-written text goes: its
+# encoding splits a report's JSON text at those places
+_MARK = "\0"
+_HOLE = _dumps(_MARK)
 
 
 def _label_json(x: SpinLabel) -> dict:
@@ -354,26 +359,23 @@ def _entry_json(entry: dict):
     if "matrix" not in entry:
         yield _dumps(entry)
         return
-    classes = _classes_json(entry["group"], entry["n"], entry["p"])[1]
-    head = _dumps({k: v for k, v in entry.items() if k < "classes"})
-    mid = _dumps({k: v for k, v in entry.items() if "classes" < k < "matrix"})
-    tail = _dumps({k: v for k, v in entry.items() if k > "matrix"})
-    yield head[:-1] + ',"classes":' + classes + "," + mid[1:-1] + ',"matrix":'
+    head, mid, tail = _dumps({**entry, "classes": _MARK, "matrix": _MARK}).split(_HOLE)
+    yield head + _classes_json(entry["group"], entry["n"], entry["p"])[1] + mid
     yield from _matrix_text(entry["matrix"])
-    yield "," + tail[1:]
+    yield tail
 
 
 def _write(args, entries) -> int:
     """Write each entry to stdout as soon as it is built, then verify's summary; return the exit status.
 
-    The payload's keys are sorted, so nothing needs look-ahead: "command" <
-    "parameters" < "results", and within verify's one result "blocks" < "summary".
+    The JSON payload is one template with holes for the entries and, on
+    verify, for the summary, so nothing needs look-ahead.
     """
     write = sys.stdout.write
     as_json = args.format == "json"
     verify = args.command == "verify"
     if as_json:
-        head = {
+        payload = {
             "command": args.command,
             "parameters": {
                 "n": getattr(args, "n", None),
@@ -381,8 +383,11 @@ def _write(args, entries) -> int:
                 "group": getattr(args, "group", None),
                 "core": list(args.core.parts) if getattr(args, "core", None) is not None else None,
             },
+            "results": [{"blocks": [_MARK], "summary": _MARK}] if verify else [_MARK],
         }
-        write(_dumps(head)[:-1] + ',"results":[' + ('{"blocks":[' if verify else ""))
+        # the text before the entries, and after them: one piece, or two around verify's summary
+        head, *tail = _dumps(payload).split(_HOLE)
+        write(head)
     _, lines_of = COMMANDS[args.command]
     failed_if = FAILED.get(args.command)
     count = failed = 0
@@ -395,12 +400,10 @@ def _write(args, entries) -> int:
             write("".join(line + "\n" for line in lines_of(entry)))
         count += 1
         failed += failed_if is not None and failed_if(entry)
-    if verify and as_json:
-        write('],"summary":' + _dumps({"blocks": count, "pass": count - failed, "fail": failed}) + "}]}\n")
+    if as_json:
+        write(_dumps({"blocks": count, "pass": count - failed, "fail": failed}).join(tail) + "\n")
     elif verify:
         write(f"summary: {count - failed} pass, {failed} fail of {count}\n")
-    elif as_json:
-        write("]}\n")
     return 1 if failed else 0
 
 
@@ -425,20 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "selftest":
-        try:
-            prime = is_odd_prime(args.p)
-        except ValueError as exc:
-            parser.error(f"--p: {exc}")
-        if not prime:
-            parser.error(f"--p must be an odd prime, got {args.p}")
-        if args.command == "cores" and args.p > P_BOUND:
-            parser.error(f"cores --p must be at most {P_BOUND}: it prints all (p - 1)/2 quotient components")
-        if args.command != "cores" and args.n < 1:
-            parser.error("--n must be at least 1")
-        if args.n < 0:
-            parser.error("--n must be non-negative")
     try:
+        if args.command != "selftest":
+            require_prime(args.p)
+            require_n(args.n, 0 if args.command == "cores" else 1)
+            if args.command == "cores" and args.p > P_BOUND:
+                raise ValueError(f"cores --p must be at most {P_BOUND}: it prints all (p - 1)/2 quotient components")
         entries = _entries(args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -32,7 +32,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .algnum import unit_product
-from .barcomb import delta_bar, sigma
+from .barcomb import delta_bar, require_prime, sigma
 from .blocks import (
     BlockId, LocalLabel, basic_set, block_members, block_quotients, local_basic_labels, local_side,
 )
@@ -236,6 +236,7 @@ def broue_check(kernel: Kernel, p: int) -> BroueReport:
     order.  Each class's valuation and p-regularity are computed once per
     kernel.
     """
+    require_prime(p)
     v_den = int_valuation(kernel.den, p)
     src, tgt = kernel.source_classes, kernel.target_classes
     v_src = [int_valuation(x.centralizer_order, p) for x in src]

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import index
 
 from .algnum import AlgNum, squarefree_split
-from .barcomb import BarPartition, bar_partitions, require_bar, sigma
+from .barcomb import BarPartition, bar_partitions, require_bar, require_n, sigma
 
 __all__ = ["SpinLabel", "SplitClass", "char_value", "labels", "split_classes"]
 
@@ -96,22 +95,9 @@ class SpinLabel:
         return f"<{self.group}:{self.lam.parts}{MARKS[self.tag]}>"
 
 
-def require_n(n: int) -> int:
-    """n as a positive int: ValueError below 1, TypeError for a bool or a non-integer.
-
-    A cache keyed by n would take True or 3.0 for the int it equals.
-    """
-    if isinstance(n, bool):
-        raise TypeError("n must be an int, not a bool")
-    n = index(n)
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n
-
-
 def labels(group: str, n: int) -> tuple[SpinLabel, ...]:
     """All spin labels of the chosen cover, in canonical order."""
-    n = require_n(n)
+    n = require_n(n, 1)
     pair = pair_sign(group, n)
     return tuple(SpinLabel(group, lam, tag) for lam in bar_partitions(n) for tag in tags(sigma(lam), pair))
 
@@ -182,7 +168,7 @@ def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], i
 
 def split_classes(n: int, group: str = SYM) -> tuple[SplitClass, ...]:
     """Split classes of the cover, one per central pair {x, zx}, canonical order."""
-    return _split_classes(require_n(n), group)
+    return _split_classes(require_n(n, 1), group)
 
 
 @lru_cache(maxsize=16)

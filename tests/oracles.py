@@ -44,7 +44,7 @@ from math import lcm, prod
 from spinbars import cli, spinchar
 from spinbars.algnum import AlgNum, squarefree_split, unit_product
 from spinbars.barcomb import (
-    BarPartition, BarQuotient, Partition, bar_core_quotient, bar_removals, is_bar_core, is_odd_prime, partitions,
+    BarPartition, BarQuotient, Partition, bar_core_quotient, bar_removals, is_bar_core, partitions, require_prime,
 )
 from spinbars.blocks import SIDE_G, BlockId, LocalLabel
 from spinbars.isometry import BroueReport, IsometrySpec, Kernel, split_value_matrix
@@ -257,8 +257,7 @@ def _pair_from_partition(charge: int, mu: Partition) -> tuple[frozenset[int], fr
 
 def from_core_quotient(core: BarPartition, quotient: BarQuotient, p: int) -> BarPartition:
     """Inverse of :func:`bar_core_quotient` on valid (core, quotient) pairs."""
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_prime(p)
     if quotient.p != p:
         raise ValueError(f"quotient was built for p={quotient.p}, not {p}")
     if not is_bar_core(core, p):

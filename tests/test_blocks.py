@@ -6,6 +6,7 @@ import pytest
 from spinbars import barcomb, blocks, isometry
 from spinbars.barcomb import (
     BarPartition,
+    BarQuotient,
     Partition,
     bar_core_quotient,
     bar_partitions,
@@ -25,7 +26,7 @@ from spinbars.blocks import (
     local_side,
 )
 from spinbars.cli import _block_json
-from spinbars.isometry import iso_I
+from spinbars.isometry import block_kernel, broue_check, identity_iso, iso_I
 from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, SpinLabel, labels, split_classes
 from oracles import (
     block_of,
@@ -271,6 +272,44 @@ def test_public_guards_reject_bad_input(call, message):
         call()
 
 
+B3 = BlockId(SYM, 3, EMPTY, 1)
+
+# every public entry that takes p, each refusing it through barcomb.require_prime
+P_ENTRIES = [
+    pytest.param(lambda p: bar_core_quotient(BarPartition((3,)), p), id="bar_core_quotient"),
+    pytest.param(lambda p: is_bar_core(EMPTY, p), id="is_bar_core"),
+    pytest.param(lambda p: delta_bar(BarPartition((3,)), p), id="delta_bar"),
+    pytest.param(lambda p: BarQuotient(EMPTY, {1: Partition((1,))}, p), id="BarQuotient"),
+    pytest.param(lambda p: BlockId(SYM, p, EMPTY, 1), id="BlockId"),
+    pytest.param(lambda p: block_partition(SYM, 5, p), id="block_partition"),
+    pytest.param(lambda p: local_basic_labels(1, p, SIDE_G), id="local_basic_labels"),
+    pytest.param(lambda p: broue_check(block_kernel(identity_iso(B3), B3), p), id="broue_check"),
+]
+
+
+@pytest.mark.parametrize("call", P_ENTRIES)
+@pytest.mark.parametrize("p", [9, 2, 1, True], ids=repr)
+def test_p_must_be_an_odd_prime(call, p):
+    # broue_check passed a kernel at p = 9, and BarQuotient took any p
+    call(3)
+    with pytest.raises(ValueError, match=r"^p must be an odd prime, got " + str(p) + "$"):
+        call(p)
+
+
+@pytest.mark.parametrize("call", P_ENTRIES)
+@pytest.mark.parametrize("p", [3.0, "3"], ids=repr)
+def test_p_must_be_an_int(call, p):
+    with pytest.raises(TypeError):
+        call(p)
+
+
+def test_float_p_is_refused_on_a_warm_cache():
+    # the block map is cached by p, where 3.0 is 3: it gave the blocks of p = 3
+    block_partition(SYM, 5, 3)
+    with pytest.raises(TypeError):
+        block_partition(SYM, 5, 3.0)
+
+
 @pytest.mark.parametrize("p, weight", [(3.0, 1), ("3", 1), (3, 1.0)])
 def test_block_id_takes_integers(p, weight):
     # 3.0 would pass is_odd_prime as one of its bases
@@ -284,10 +323,14 @@ def test_block_id_takes_integers(p, weight):
         pytest.param(lambda n: labels(SYM, n), id="labels"),
         pytest.param(lambda n: split_classes(n), id="split_classes"),
         pytest.param(lambda n: block_partition(SYM, n, 3), id="block_partition"),
+        pytest.param(bar_partitions, id="bar_partitions"),
+        pytest.param(partitions, id="partitions"),
+        pytest.param(lambda w: local_basic_labels(w, 3, SIDE_G), id="local_basic_labels"),
     ],
 )
 def test_bool_n_is_refused(call):
-    # each is cached by n, where True is 1: True gave the labels, classes or blocks of n = 1
+    # True is 1 to a cache keyed by n and to range(): it gave the labels, classes,
+    # blocks, partitions or local labels of n = 1
     call(1)
     with pytest.raises(TypeError):
         call(True)

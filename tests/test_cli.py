@@ -277,6 +277,23 @@ class TestContract:
                 cli.run(["blocks", "--n", "4", "--p", p])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("verify --n 0 --p 3", "n must be positive"),
+            ("cores --n -1 --p 3", "n must be non-negative"),
+            ("blocks --n 4 --p 9", "p must be an odd prime, got 9"),
+            ("cores --n 3 --p 2097169", "2097152"),
+        ],
+    )
+    def test_refusal_writes_nothing(self, capsys, argv, message):
+        # the library's refusal is the CLI's, and it comes before the first byte
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert message in captured.err
+
     def test_large_p_exits_2_fast(self, capsys):
         # (10^9 + 7)(10^9 + 9): trial division would take 5 * 10^8 steps
         start = time.perf_counter()

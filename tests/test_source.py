@@ -16,6 +16,14 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_odd_prime_refusal_is_written_once():
+    # every entry that takes p refuses it through barcomb.require_prime
+    found = []
+    for path in sorted(Path(spinbars.__file__).parent.glob("*.py")):
+        found += [path.name] * path.read_text().count("must be an odd prime")
+    assert found == ["barcomb.py"]
+
+
 PUBLIC_NAMES = {
     "AlgNum", "BarPartition", "BarQuotient", "BlockId", "IsometrySpec", "Kernel", "LocalLabel", "Partition",
     "SpinLabel", "SplitClass", "UnsupportedTargetError", "ValueMatrix", "VerificationReport",
