@@ -143,9 +143,14 @@ class BarQuotient:
         # a BarPartition component would never equal the Partition bar_core_quotient builds
         if any(type(c) is not Partition for _, c in items):
             raise TypeError(f"quotient components are Partitions, got {components!r}")
+        self._fill(lambda0, items, p)
+
+    def _fill(self, lambda0: BarPartition, items: list, p: int) -> BarQuotient:
+        """Set the fields from checked parts: (pair, Partition) items sorted by pair, p an odd prime."""
         object.__setattr__(self, "lambda0", lambda0)
         object.__setattr__(self, "occupied", tuple((i, c) for i, c in items if c.parts))
         object.__setattr__(self, "p", p)
+        return self
 
     @property
     def components(self) -> tuple[Partition, ...]:
@@ -164,38 +169,35 @@ class BarQuotient:
         return -1 if (self.weight - self.lambda0.length) % 2 else 1
 
 
+def _descending(n: int, cap: int, gap: int = 0, step: int = 1) -> list[tuple[int, ...]]:
+    """Partitions of n in lexicographically descending order, as tuples of parts.
+
+    The first part is at most cap, each later part at most the one before
+    minus gap (0 or 1: gap 1 gives strict partitions), and every part is
+    congruent to cap mod step (step 2 with an odd cap gives odd parts).
+    """
+    if n == 0:
+        return [()]
+    out = []
+    top = min(n, cap)
+    for a in range(top - (top - cap) % step, 0, -step):
+        # a strict tail below a sums to at most a(a - 1)/2
+        if not gap or n - a <= a * (a - 1) // 2:
+            for tail in _descending(n - a, a - gap, gap, step):
+                out.append((a,) + tail)
+    return out
+
+
 def bar_partitions(n: int) -> list[BarPartition]:
     """All strict partitions of n in lexicographically descending order."""
     n = require_n(n, 0)
-
-    def rec(remaining: int, bound: int) -> list[tuple[int, ...]]:
-        if remaining == 0:
-            return [()]
-        out = []
-        for first in range(min(remaining, bound), 0, -1):
-            # strictly decreasing, so the tail is bounded by first - 1
-            if remaining - first <= (first - 1) * first // 2:
-                for tail in rec(remaining - first, first - 1):
-                    out.append((first,) + tail)
-        return out
-
-    return [BarPartition(t) for t in rec(n, n)]
+    return [BarPartition(t) for t in _descending(n, n, gap=1)]
 
 
 def partitions(n: int) -> list[Partition]:
     """All ordinary partitions of n in lexicographically descending order."""
     n = require_n(n, 0)
-
-    def rec(remaining: int, cap: int) -> list[tuple[int, ...]]:
-        if remaining == 0:
-            return [()]
-        out = []
-        for first in range(min(remaining, cap), 0, -1):
-            for tail in rec(remaining - first, first):
-                out.append((first,) + tail)
-        return out
-
-    return [Partition(t) for t in rec(n, n)]
+    return [Partition(t) for t in _descending(n, n)]
 
 
 def sigma(lam: BarPartition) -> int:
@@ -254,7 +256,8 @@ def bar_core_quotient(lam: BarPartition, p: int) -> tuple[BarPartition, BarQuoti
         elif charge < 0:
             core_parts.extend((p - i) + k * p for k in range(-charge))
     core = BarPartition(tuple(sorted(core_parts, reverse=True)))
-    quotient = BarQuotient(lambda0, components, p)
+    # p is checked above: build the quotient without a second primality test
+    quotient = object.__new__(BarQuotient)._fill(lambda0, sorted(components.items()), p)
     if core.n + p * quotient.weight != lam.n:
         raise RuntimeError(f"core {core} and quotient of weight {quotient.weight} do not rebuild {lam}")
     return core, quotient

@@ -27,7 +27,7 @@ from .barcomb import (
     BarPartition,
     BarQuotient,
     bar_core_quotient,
-    is_bar_core,
+    bar_removals,
     partitions,
     require_bar,
     require_n,
@@ -64,7 +64,7 @@ class BlockId:
         object.__setattr__(self, "weight", index(self.weight))
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
-        if not is_bar_core(self.core, self.p):
+        if bar_removals(self.core.parts, self.p):  # is_bar_core without testing p a second time
             raise ValueError(f"{self.core} admits a removable {self.p}-bar")
 
     @property

@@ -167,10 +167,14 @@ def kernel_of(iso: IsometrySpec, source: IntegerTable, target: IntegerTable) -> 
 
     Computed on the integer tables: each pair of integer columns gives an
     integer sum over the mapping, which the unit product conj(u_k) * u_l
-    carries into the cell of the two columns' classes.
+    carries into the cell of the two columns' classes.  ValueError when a
+    source or target label is not a row of its table.
     """
     s_rows = dict(zip(source.row_keys, source.rows))
     t_rows = dict(zip(target.row_keys, target.rows))
+    for side, rows, k in (("source", s_rows, 0), ("target", t_rows, 1)):
+        if missing := [triple[k] for triple in iso.mapping if triple[k] not in rows]:
+            raise ValueError(f"{side} label {missing[0]} is not a row of the {side} table")
     left = list(zip(*[[sign * a for a in s_rows[s]] for s, _, sign in iso.mapping]))
     right = list(zip(*[t_rows[t] for _, t, _ in iso.mapping]))
     cells: dict[tuple[int, int], dict] = {}

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algnum import AlgNum, squarefree_split
-from .barcomb import BarPartition, bar_partitions, require_bar, require_n, sigma
+from .barcomb import BarPartition, _descending, bar_partitions, require_bar, require_n, sigma
 
 __all__ = ["SpinLabel", "SplitClass", "char_value", "labels", "split_classes"]
 
@@ -138,16 +138,14 @@ class SplitClass:
         return f"[{self.group}:{self.pi}{b}]"
 
 
-def _odd_partitions(n: int, cap: int) -> list[tuple[int, ...]]:
-    """Partitions of n into odd parts of at most cap, lexicographically descending."""
-    if n == 0:
-        return [()]
-    top = min(n, cap)
-    return [(a,) + tail for a in range(top - 1 + top % 2, 0, -2) for tail in _odd_partitions(n - a, a)]
+def split_classes(n: int, group: str = SYM) -> tuple[SplitClass, ...]:
+    """Split classes of the cover, one per central pair {x, zx}, canonical order."""
+    return _split_classes(require_n(n, 1), group)
 
 
-def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], int]]:
-    """(type, branches, centralizer_order) for every split type, canonical order.
+@lru_cache(maxsize=16)
+def _split_classes(n: int, group: str) -> tuple[SplitClass, ...]:
+    """The split classes of every split type, types in lexicographically descending order.
 
     The split types are the odd-part types and the strict types whose sign
     is the cover's pair sign.  A type of both kinds (only on the alternating
@@ -159,22 +157,11 @@ def _class_types(group: str, n: int) -> list[tuple[tuple[int, ...], list[int], i
     pair = pair_sign(group, n)
     paired = {lam.parts for lam in bar_partitions(n) if sigma(lam) == pair}
     order = 2 if pair == -1 else 1
-    types = []
-    for pi in sorted(paired.union(_odd_partitions(n, n)), reverse=True):
-        branches = [1, 2] if pi in paired and is_odd_type(pi) else [0]
-        types.append((pi, branches, order * len(branches) * z_cycle(pi)))
-    return types
-
-
-def split_classes(n: int, group: str = SYM) -> tuple[SplitClass, ...]:
-    """Split classes of the cover, one per central pair {x, zx}, canonical order."""
-    return _split_classes(require_n(n, 1), group)
-
-
-@lru_cache(maxsize=16)
-def _split_classes(n: int, group: str) -> tuple[SplitClass, ...]:
-    types = _class_types(group, n)
-    return tuple(SplitClass(group, pi, branch, cent) for pi, branches, cent in types for branch in branches)
+    classes = []
+    for pi in sorted(paired.union(_descending(n, n | 1, step=2)), reverse=True):
+        branches = (1, 2) if pi in paired and is_odd_type(pi) else (0,)
+        classes += (SplitClass(group, pi, b, order * len(branches) * z_cycle(pi)) for b in branches)
+    return tuple(classes)
 
 
 def _bits(parts: tuple[int, ...]) -> int:

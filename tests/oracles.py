@@ -194,18 +194,22 @@ def image(iso: IsometrySpec, x) -> tuple:
     raise KeyError(x)
 
 
+def partitions_by_filter(n: int) -> set[tuple[int, ...]]:
+    """All partitions of n, as the weakly decreasing ones among the 2**(n - 1) compositions of n."""
+    if n == 0:
+        return {()}
+    out = set()
+    for cuts in range(1 << (n - 1)):
+        ends = [i for i in range(1, n) if cuts >> (i - 1) & 1] + [n]
+        parts = tuple(b - a for a, b in zip([0] + ends, ends))
+        if all(a >= b for a, b in zip(parts, parts[1:])):
+            out.add(parts)
+    return out
+
+
 def strict_partitions_by_filter(n: int) -> set[tuple[int, ...]]:
-    """All partitions of n with distinct parts, from plain partition enumeration."""
-
-    def gen(rem, cap):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(min(rem, cap), 0, -1):
-            for tail in gen(rem - first, first):
-                yield (first,) + tail
-
-    return {t for t in gen(n, n) if len(set(t)) == len(t)}
+    """All partitions of n with distinct parts, filtered from ``partitions_by_filter``."""
+    return {t for t in partitions_by_filter(n) if len(set(t)) == len(t)}
 
 
 def is_odd_prime_by_trial_division(p: int) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbars import barcomb
 from spinbars.barcomb import (
     MR_BOUND,
     BarPartition,
@@ -28,6 +29,7 @@ from oracles import (
     from_core_quotient,
     is_odd_prime_by_trial_division,
     partition_core_quotient,
+    partitions_by_filter,
     rebuild_from_ordinary_quotient,
     strict_partitions_by_filter,
 )
@@ -107,11 +109,13 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(13))
     def test_against_filter_oracle(self, n):
         assert {bp.parts for bp in bar_partitions(n)} == strict_partitions_by_filter(n)
+        assert {mu.parts for mu in partitions(n)} == partitions_by_filter(n)
+        assert {type(mu) for mu in partitions(n)} == {Partition}
 
     def test_lexicographic_descending(self):
-        for n in range(12):
-            seq = [bp.parts for bp in bar_partitions(n)]
-            assert seq == sorted(seq, reverse=True)
+        for n in range(13):
+            for seq in ([bp.parts for bp in bar_partitions(n)], [mu.parts for mu in partitions(n)]):
+                assert seq == sorted(set(seq), reverse=True)
 
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
@@ -203,6 +207,19 @@ class TestBarCoreQuotient:
         core, q = bar_core_quotient(lam, big)
         assert core == lam and q.occupied == () and q.weight == 0
         assert from_core_quotient(core, q, big) == lam
+
+    def test_tests_p_once_and_builds_the_checked_quotient(self, monkeypatch):
+        # the split builds its quotient without BarQuotient's checks, so p is tested only once
+        calls = []
+        test = barcomb.is_odd_prime
+        monkeypatch.setattr(barcomb, "is_odd_prime", lambda p: calls.append(p) or test(p))
+        for p in (3, 5, 7, 43):
+            for n in range(13):
+                for lam in bar_partitions(n):
+                    calls.clear()
+                    _, q = bar_core_quotient(lam, p)
+                    assert calls == [p]
+                    assert q == BarQuotient(q.lambda0, dict(q.occupied), p)
 
     def test_quotient_refuses_pairs_out_of_range(self):
         for pair in (0, 2):

@@ -125,6 +125,18 @@ class TestBlockPartition:
                 iso_I(b)
         assert calls[0] == len(labels(group, n))
 
+    @pytest.mark.parametrize("group, n", [(SYM, 10), (ALT, 12)])
+    def test_p_is_tested_once_per_label_and_block(self, monkeypatch, group, n):
+        # neither a label's quotient nor a block's core check tests p a second time
+        calls = []
+        test = barcomb.is_odd_prime
+        monkeypatch.setattr(barcomb, "is_odd_prime", lambda p: calls.append(p) or test(p))
+        for p in (3, 43):
+            calls.clear()
+            blocks._blocks.cache_clear()
+            found = block_partition(group, n, p)
+            assert calls == [p] * (1 + len(labels(group, n)) + len(found))
+
 
 class TestBasicSet:
     def test_core1_w2(self):

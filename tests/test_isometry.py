@@ -30,7 +30,7 @@ from spinbars.isometry import (
     swap_J,
     swap_reports,
 )
-from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM
+from spinbars.spinchar import ALT, MINUS, PLUS, SELF, SYM, labels
 from spinbars.zverify import block_table, restricted_matrix, split_table
 from oracles import (
     Exact,
@@ -359,6 +359,20 @@ class TestKernelOf:
         assert K1 == K2
         values = split_value_matrix(b)
         assert K1 == kernel_of_algnum(identity_iso(b), values, values)
+
+    def test_refuses_labels_missing_from_the_tables(self):
+        # a label with no row in its table is named, not a bare KeyError
+        b3, b4 = block_n3(), block_n4()
+        t3, t4 = split_table(b3), split_table(b4)
+        x, y = block_members(b3)[0], labels(SYM, 4)[0]
+        with pytest.raises(ValueError, match=r"^source label <sym:\(4,\)\+> is not a row of the source table$"):
+            kernel_of(IsometrySpec(((y, y, 1),)), t3, t3)
+        with pytest.raises(ValueError, match=r"^target label <sym:\(4,\)\+> is not a row of the target table$"):
+            kernel_of(IsometrySpec(((x, y, 1),)), t3, t3)
+        with pytest.raises(ValueError, match=r"^target label <sym:\(3,\)> is not a row"):
+            kernel_of(identity_iso(b3), t3, t4)
+        with pytest.raises(ValueError, match=r"^source label <sym:\(4,\)\+> is not a row"):
+            block_kernel(identity_iso(b4), b3)
 
     def test_integer_cells(self):
         # only nonzero cells and coefficients are stored; kernel_from_table reads the dense form back
