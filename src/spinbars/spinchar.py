@@ -1,11 +1,14 @@
 """Spin-character labels, split conjugacy classes, and exact character values.
 
 Covers both the double cover of the symmetric group ("sym") and of the
-alternating group ("alt").  Values on odd-type classes come from one column
-per class type, built by adding bars (the inverse of the bar-strip
-recursion); its sign and 2-power conventions are locked by tests against a
-Schur Q-function oracle, the bar-length degree formula, full row
-orthogonality and the removal recursion itself.  Values on the remaining
+alternating group ("alt").  Values on odd-type classes come from one dense
+column per class type, with one slot per strict partition of n in
+``bar_partitions`` order, built by adding bars (the inverse of the
+bar-strip recursion) through a move table that every type with the same
+largest part and the same rest size shares.  Its sign and 2-power
+conventions are locked by tests against a Schur Q-function oracle, the
+bar-length degree formula, full row and column orthogonality, the removal
+recursion and the same recursion over bit-set dicts.  Values on the remaining
 split classes follow the classical closed forms.  ``half_columns`` states
 this value rule once, for a list of labels on one class.
 """
@@ -77,7 +80,7 @@ class SpinLabel:
     tag: str
 
     def __post_init__(self):
-        require_bar(self.lam)  # a Partition with repeated parts has no bits and no values
+        require_bar(self.lam)  # a Partition with repeated parts has no slot and no values
         s = sigma(self.lam)
         if self.tag not in tags(s, pair_sign(self.group, self.n)):
             raise ValueError(f"tag {self.tag!r} inconsistent with sigma={s} for {self.lam} in {self.group}")
@@ -87,9 +90,9 @@ class SpinLabel:
         return self.lam.n
 
     @cached_property
-    def bits(self) -> int:
-        """The bar partition as a bit set, the key of its value in an odd-type column."""
-        return _bits(self.lam.parts)
+    def slot(self) -> int:
+        """The position of the bar partition in ``bar_partitions(n)``, its slot in an odd-type column."""
+        return _slots(self.n)[_bits(self.lam.parts)]
 
     def __repr__(self):
         return f"<{self.group}:{self.lam.parts}{MARKS[self.tag]}>"
@@ -172,36 +175,37 @@ def _bits(parts: tuple[int, ...]) -> int:
     return bits
 
 
-# One column per odd-type class suffix: 311 for the block tables of sym and alt
-# n=25 p=11, 627 / 1,564 (about 50 MiB) / 4,571 for sym n=35 p=5 / n=40 p=7 /
-# n=50 p=7, and 2,671 / 4,884 / 8,670 for the split tables of n=40 / 45 / 50.
-# Columns are read in order, so a bound below the need makes nearly every read miss
-@lru_cache(maxsize=1 << 14)
-def _odd_column(pi: tuple[int, ...]) -> dict[int, int]:
-    """{bit set of strict lam: common value of the lam character(s) on odd type pi}, nonzero only.
+@lru_cache(maxsize=128)
+def _slots(n: int) -> dict[int, int]:
+    """{bit set of strict lam: lam's slot}, in slot order; slot i holds the i-th of ``bar_partitions(n)``."""
+    return {_bits(parts): i for i, parts in enumerate(_descending(n, n, gap=1))}
 
-    Built from the column of pi[1:] by adding a pi[0]-bar to every mu in
-    every way, the inverse of a bar removal: grow a part b (or 0) of mu to
-    b + r where b + r is no part, with leg the parts strictly between b and
-    b + r; or add a pair (a, r - a) of non-parts, with leg a plus the parts
-    strictly between them.  Each addition contributes (-1)**leg times mu's
-    value, doubled when it goes from a pair label (sigma(mu) = -1) to a
+
+# All odd types of n = 50 need 302 tables (7.7 MiB traced), of n = 55 359 and of n = 60 425
+@lru_cache(maxsize=512)
+def _moves(m: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Every r-bar addition to every strict mu of m: per slot of mu, the flat tuple (slot, c, slot, c, ...).
+
+    Each pair is the slot in m + r of one lam that adds an r-bar to mu, and
+    its coefficient c = +-1 or +-2: the inverse of a bar removal grows a
+    part b (or 0) of mu to b + r where b + r is no part, with leg the parts
+    strictly between b and b + r, or adds a pair (a, r - a) of non-parts,
+    with leg a plus the parts strictly between them.  c is (-1)**leg,
+    doubled when the addition goes from a pair label (sigma(mu) = -1) to a
     self-associate one; that happens exactly when mu has sigma -1 and the
     bar is not a new part r, since those two moves flip sigma and the new
-    part keeps it.  An lru_cache bounded at 16,384 columns.
+    part keeps it.  Every odd type whose largest part r sits over a rest of
+    size m shares the table.
     """
-    if not pi:
-        return {0: 1}
-    r, rho = pi[0], pi[1:]
-    m = sum(rho)
+    slots = _slots(m + r)
     inner = (1 << (r - 1)) - 1  # the r - 1 positions strictly inside an r-bar
-    out: dict[int, int] = {}
-    for mu, v in _odd_column(rho).items():
-        w = 2 * v if (m - mu.bit_count()) % 2 else v
+    table = []
+    for mu in _slots(m):
+        w = 2 if (m - mu.bit_count()) % 2 else 1
+        adds = []
         # new part r
         if not mu >> r & 1:
-            lam = mu | 1 << r
-            out[lam] = out.get(lam, 0) + (-v if (mu >> 1 & inner).bit_count() % 2 else v)
+            adds += slots[mu | 1 << r], (-1 if (mu >> 1 & inner).bit_count() % 2 else 1)
         # grow part b to b + r
         rest = mu
         while rest:
@@ -210,17 +214,41 @@ def _odd_column(pi: tuple[int, ...]) -> dict[int, int]:
             if mu & low << r:
                 continue
             b = low.bit_length() - 1
-            lam = mu ^ low | low << r
-            out[lam] = out.get(lam, 0) + (-w if (mu >> (b + 1) & inner).bit_count() % 2 else w)
+            adds += slots[mu ^ low | low << r], (-w if (mu >> (b + 1) & inner).bit_count() % 2 else w)
         # new pair (a, r - a)
         for a in range(1, (r + 1) // 2):
             pair = 1 << a | 1 << (r - a)
             if mu & pair:
                 continue
-            lam = mu | pair
             leg = a + (mu >> (a + 1) & ((1 << (r - 2 * a - 1)) - 1)).bit_count()
-            out[lam] = out.get(lam, 0) + (-w if leg % 2 else w)
-    return {lam: v for lam, v in out.items() if v}
+            adds += slots[mu | pair], (-w if leg % 2 else w)
+        table.append(tuple(adds))
+    return tuple(table)
+
+
+# One column per odd-type class suffix: 311 for the block tables of sym and alt
+# n=25 p=11 (0.6 MiB traced), 627 for sym n=35 p=5, 1,564 / 2,711 / 4,571 for
+# sym n=40 / 45 / 50 p=7 (21 / 68 / 208 MiB traced), and 2,671 / 4,884 / 8,670
+# for the split tables of n=40 / 45 / 50.  Columns are read in order, so a bound
+# below the need makes nearly every read miss
+@lru_cache(maxsize=1 << 14)
+def _odd_column(pi: tuple[int, ...]) -> tuple[int, ...]:
+    """The common value of the lam character(s) on odd type pi, for every strict lam of n in slot order.
+
+    Built from the column of pi[1:] by adding a pi[0]-bar to every mu in
+    every way (``_moves``): each addition contributes its coefficient times
+    mu's value.  An lru_cache bounded at 16,384 columns.
+    """
+    if not pi:
+        return (1,)
+    n = sum(pi)
+    out = [0] * len(_slots(n))
+    for v, adds in zip(_odd_column(pi[1:]), _moves(n - pi[0], pi[0])):
+        if v:
+            it = iter(adds)
+            for slot, c in zip(it, it):
+                out[slot] += c * v
+    return tuple(out)
 
 
 def _root_term(m: int, k: int) -> tuple[int, tuple[int, int]]:
@@ -236,7 +264,7 @@ def half_columns(rows: tuple[SpinLabel, ...], c: SplitClass) -> dict[tuple[int, 
     h, one per row, such that row r's value is the sum of h[r]/2 times the
     unit; units that are zero in every row are left out.  Rows and class
     must belong to the same cover and the same n.  On odd-type classes the
-    values are read from the class type's column, halved for
+    values are read from the class type's column at each row's slot, halved for
     alternating-cover pair constituents; on the class of type lam itself a
     pair also carries the closed form +-i**m * sqrt(d), which the
     alternating cover adds to the odd part.  The value at the central
@@ -247,13 +275,13 @@ def half_columns(rows: tuple[SpinLabel, ...], c: SplitClass) -> dict[tuple[int, 
     if c.odd_type:
         column = _odd_column(pi)
         if c.group == SYM:
-            whole = [2 * column.get(x.bits, 0) for x in rows]
+            whole = [2 * column[x.slot] for x in rows]
         else:
             # an alternating-cover pair takes half the sym value: the whole
             # column value, which off the class of type lam must be even
             whole = []
             for x in rows:
-                v = column.get(x.bits, 0)
+                v = column[x.slot]
                 if x.tag == SELF:
                     v *= 2
                 elif v % 2 and pi != x.lam.parts:

@@ -12,8 +12,10 @@ perfectness check in AlgNum arithmetic, character inner products over
 AlgNum value vectors, and the Broué check coefficient by coefficient in
 Fraction arithmetic, the local basic labels from dense tuples of all
 (p - 1)/2 components, and the Brauer count as a tuple count doubled by a parity/sign/group rule, the odd-type character
-values by the bar-strip removal recursion, the value rule one cell at a
-time, and the split classes by a filter over every partition.
+values by the bar-strip removal recursion and by the bar-adding recursion
+over bit-set dicts that the library's dense columns and shared move tables
+replaced, the value rule one cell at a time, and the split classes by a
+filter over every partition.
 ``expand_z`` writes a kernel over the library's split classes out over
 both central translates of each class, which the library leaves implicit.
 ``cli_payload`` builds the CLI's whole payload as one tree of dicts, with a
@@ -318,6 +320,61 @@ def odd_value_by_removal(parts: tuple[int, ...], pi: tuple[int, ...]) -> int:
     return total
 
 
+def bits_of(parts: tuple[int, ...]) -> int:
+    """A strict partition as a bit set: bit a is set for each part a."""
+    bits = 0
+    for a in parts:
+        bits |= 1 << a
+    return bits
+
+
+@lru_cache(maxsize=None)
+def odd_column_by_adding(pi: tuple[int, ...]) -> dict[int, int]:
+    """{bit set of strict lam: common value of the lam character(s) on odd type pi}, nonzero only.
+
+    Built from the column of pi[1:] by adding a pi[0]-bar to every mu in
+    every way, the inverse of a bar removal: grow a part b (or 0) of mu to
+    b + r where b + r is no part, with leg the parts strictly between b and
+    b + r; or add a pair (a, r - a) of non-parts, with leg a plus the parts
+    strictly between them.  Each addition contributes (-1)**leg times mu's
+    value, doubled when it goes from a pair label (sigma(mu) = -1) to a
+    self-associate one; that happens exactly when mu has sigma -1 and the
+    bar is not a new part r, since those two moves flip sigma and the new
+    part keeps it.
+    """
+    if not pi:
+        return {0: 1}
+    r, rho = pi[0], pi[1:]
+    m = sum(rho)
+    inner = (1 << (r - 1)) - 1  # the r - 1 positions strictly inside an r-bar
+    out: dict[int, int] = {}
+    for mu, v in odd_column_by_adding(rho).items():
+        w = 2 * v if (m - mu.bit_count()) % 2 else v
+        # new part r
+        if not mu >> r & 1:
+            lam = mu | 1 << r
+            out[lam] = out.get(lam, 0) + (-v if (mu >> 1 & inner).bit_count() % 2 else v)
+        # grow part b to b + r
+        rest = mu
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if mu & low << r:
+                continue
+            b = low.bit_length() - 1
+            lam = mu ^ low | low << r
+            out[lam] = out.get(lam, 0) + (-w if (mu >> (b + 1) & inner).bit_count() % 2 else w)
+        # new pair (a, r - a)
+        for a in range(1, (r + 1) // 2):
+            pair = 1 << a | 1 << (r - a)
+            if mu & pair:
+                continue
+            lam = mu | pair
+            leg = a + (mu >> (a + 1) & ((1 << (r - 2 * a - 1)) - 1)).bit_count()
+            out[lam] = out.get(lam, 0) + (-w if leg % 2 else w)
+    return {lam: v for lam, v in out.items() if v}
+
+
 def half_coefficients_by_cell(x, c: SplitClass) -> dict[tuple[int, int], int]:
     """Twice the value of the labelled character on the class, one cell at a time.
 
@@ -330,7 +387,7 @@ def half_coefficients_by_cell(x, c: SplitClass) -> dict[tuple[int, int], int]:
     odd = c.odd_type
     if x.group == SYM or x.tag == SELF:
         if odd:
-            v = spinchar._odd_column(pi).get(x.bits, 0)
+            v = spinchar._odd_column(pi)[x.slot]
             return {(1, 0): 2 * v} if v else {}
         if x.group != SYM or x.tag == SELF or pi != lam.parts:
             return {}
@@ -338,7 +395,7 @@ def half_coefficients_by_cell(x, c: SplitClass) -> dict[tuple[int, int], int]:
         return {unit: -2 * h if x.tag == MINUS else 2 * h}
     out = {}
     if odd:
-        whole = spinchar._odd_column(pi).get(x.bits, 0)
+        whole = spinchar._odd_column(pi)[x.slot]
         if pi != lam.parts and whole % 2:
             raise RuntimeError(f"odd restriction value {whole} for {x} at {c}")
         if whole:

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from spinbars.algnum import AlgNum
+from spinbars.algnum import AlgNum, unit_product
 from spinbars.barcomb import BarPartition, Partition, bar_partitions, partitions, sigma
-from spinbars.blocks import BlockId
+from spinbars.blocks import BlockId, block_partition
 from spinbars.spinchar import (
     ALT,
     MINUS,
@@ -20,14 +21,16 @@ from spinbars.spinchar import (
     split_classes,
     z_cycle,
 )
-from spinbars.zverify import block_table
+from spinbars.zverify import block_table, split_table
 from oracles import (
     I,
     Exact,
+    bits_of,
     degree,
     epsilon_twist,
     half_coefficients_by_cell,
     inner_product,
+    odd_column_by_adding,
     odd_value_by_removal,
     split_class_types_by_filter,
     value_vector,
@@ -82,7 +85,7 @@ class TestLabels:
             SpinLabel(ALT, BarPartition((2, 1)), PLUS)
 
     def test_partition_must_be_a_bar_partition(self):
-        # (2, 2) has no bit set and no value; its degree raised KeyError far from the cause
+        # (2, 2) has no slot and no value; its degree raised KeyError far from the cause
         for lam in (Partition((2, 2)), Partition((2, 1)), (2, 1)):
             with pytest.raises(TypeError):
                 SpinLabel(SYM, lam, SELF)
@@ -231,14 +234,14 @@ class TestCharValues:
     def test_split_values_are_algebraic_integers(self):
         # pair values are (a +- delta)/2 with delta^2 = (-1)^m z; integrality
         # of the minimal polynomial needs 4 | a^2 - delta^2
-        from spinbars.spinchar import _bits, _odd_column
+        from spinbars.spinchar import _odd_column
 
         for n in range(2, 13):
-            for lam in bar_partitions(n):
+            for slot, lam in enumerate(bar_partitions(n)):
                 if sigma(lam) == 1:
                     m = (n - lam.length) // 2
                     z = math.prod(lam.parts)
-                    a = _odd_column(lam.parts).get(_bits(lam.parts), 0) if is_odd_type(lam.parts) else 0
+                    a = _odd_column(lam.parts)[slot] if is_odd_type(lam.parts) else 0
                     assert (a * a - (-1) ** m * z) % 4 == 0, lam
                 else:
                     # the paired sym values carry sqrt(z/2), so z must be even
@@ -248,18 +251,33 @@ class TestCharValues:
 class TestOddColumns:
     def test_match_removal_recursion(self):
         # the bar-adding column against the bar-strip removal recursion
-        from spinbars.spinchar import _bits, _odd_column
-
-        for n in range(17):
-            for lam in bar_partitions(n):
-                for pi in odd_partitions(n):
-                    assert _odd_column(pi).get(_bits(lam.parts), 0) == odd_value_by_removal(lam.parts, pi), (lam, pi)
-
-    def test_columns_hold_nonzero_values_only(self):
         from spinbars.spinchar import _odd_column
 
-        for pi in odd_partitions(12):
-            assert all(_odd_column(pi).values()), pi
+        for n in range(17):
+            for slot, lam in enumerate(bar_partitions(n)):
+                for pi in odd_partitions(n):
+                    assert _odd_column(pi)[slot] == odd_value_by_removal(lam.parts, pi), (lam, pi)
+
+    def test_match_the_bit_set_recursion(self):
+        # the dense columns built through the shared move tables against the same
+        # recursion over bit-set dicts, in every slot of every odd type
+        from spinbars.spinchar import _odd_column
+
+        for n in range(25):
+            keys = [bits_of(lam.parts) for lam in bar_partitions(n)]
+            for pi in odd_partitions(n):
+                oracle = odd_column_by_adding(pi)
+                assert list(_odd_column(pi)) == [oracle.get(k, 0) for k in keys], pi
+
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    def test_columns_hold_one_slot_per_strict_partition(self, group):
+        from spinbars.spinchar import _odd_column
+
+        for n in range(13):
+            strict = bar_partitions(n)
+            assert all(len(_odd_column(pi)) == len(strict) for pi in odd_partitions(n)), n
+            if n:
+                assert [x.slot for x in labels(group, n)] == [strict.index(x.lam) for x in labels(group, n)], n
 
     def test_cache_holds_every_suffix_at_n50(self):
         # a table reads its columns in order, so a cache smaller than the number of
@@ -269,6 +287,14 @@ class TestOddColumns:
         suffixes = {pi[k:] for pi in odd_partitions(50) for k in range(len(pi) + 1)}
         assert len(suffixes) == 8670
         assert len(suffixes) <= _odd_column.cache_info().maxsize
+
+    def test_cache_holds_every_move_table_at_n50(self):
+        # each suffix's column reads the table of its largest part r over the rest's size m
+        from spinbars.spinchar import _moves
+
+        pairs = {(sum(pi[k + 1 :]), pi[k]) for pi in odd_partitions(50) for k in range(len(pi))}
+        assert len(pairs) == 302
+        assert len(pairs) <= _moves.cache_info().maxsize
 
 
 class TestValueColumns:
@@ -289,7 +315,9 @@ class TestValueColumns:
 
         x = SpinLabel(ALT, BarPartition((5,)), PLUS)
         c = find_class(split_classes(5, group=ALT), (1, 1, 1, 1, 1))
-        monkeypatch.setattr(spinchar, "_odd_column", lambda pi: {x.bits: 1})
+        column = [0] * len(bar_partitions(5))
+        column[x.slot] = 1
+        monkeypatch.setattr(spinchar, "_odd_column", lambda pi: column)
         messages = []
         for path in (lambda: half_columns((x,), c), lambda: char_value(x, c)):
             with pytest.raises(RuntimeError, match="odd restriction value 1") as exc:
@@ -304,15 +332,15 @@ class TestValueColumns:
         # an odd strict lam has sign +1, so on the alternating cover it labels a pair
         # and its type is two classes, both odd and strict: the closed form adds h to
         # the odd part, which is +-1, and shares its unit (1, 0) only with |h| >= 3
-        from spinbars.spinchar import _bits, _odd_column, _root_term
+        from spinbars.spinchar import _odd_column, _root_term
 
         types = 0
         for n in range(2, 31):
-            for lam in bar_partitions(n):
+            for slot, lam in enumerate(bar_partitions(n)):
                 pi = lam.parts
                 if not is_odd_type(pi):
                     continue
-                assert _odd_column(pi).get(_bits(pi), 0) in (1, -1), pi
+                assert _odd_column(pi)[slot] in (1, -1), pi
                 h, unit = _root_term((n - len(pi)) // 2, math.prod(pi))
                 if unit == (1, 0):
                     assert abs(h) >= 3, pi
@@ -324,6 +352,62 @@ class TestValueColumns:
                         assert all(any(col) for col in half_columns((x,), c).values()), (x, c)
                 types += 1
         assert types == 179
+
+
+def unit_columns(group: str, n: int) -> tuple[tuple, tuple, list[dict]]:
+    """Split classes, labels and per class {unit: column over the labels}, from every block's split table at p = 3."""
+    classes = split_classes(n, group=group)
+    tables = [split_table(b) for b, _ in block_partition(group, n, 3)]
+    rows = tuple(x for t in tables for x in t.row_keys)
+    columns = [{} for _ in classes]
+    start = 0
+    for t in tables:
+        for r, values in enumerate(t.rows, start):
+            for (j, unit), h in zip(t.columns, values):
+                columns[j].setdefault(unit, [0] * len(rows))[r] = h
+        start += len(t.rows)
+    return classes, rows, columns
+
+
+def gram_misses(classes, columns, pairs) -> list:
+    """The pairs (j, k) of class indices where the sum over every label of h(x_j) * conj h(x_k) is wrong.
+
+    h is twice the value, so the second orthogonality relation makes that
+    sum 2 * centralizer order on the diagonal and 0 off it.  A column with
+    few nonzero rows (a pair's closed form) is multiplied on those alone.
+    """
+    terms = [
+        [(u, v, [r for r, h in enumerate(v) if h]) for u, v in sorted(col.items())] for col in columns
+    ]
+    misses = []
+    for j, k in pairs:
+        total = {}
+        for u, a, sa in terms[j]:
+            for (d, e), b, sb in terms[k]:
+                short = min(sa, sb, key=len)
+                dot = sum(a[r] * b[r] for r in short) if len(short) < 8 else sum(map(mul, a, b))
+                if dot:
+                    c, key = unit_product(u, (d, e))
+                    total[key] = total.get(key, 0) + (-c if e else c) * dot
+        total = {key: v for key, v in total.items() if v}
+        if total != ({(1, 0): 2 * classes[j].centralizer_order} if j == k else {}):
+            misses.append((classes[j], classes[k]))
+    return misses
+
+
+class TestValueTables:
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    def test_columns_are_orthogonal_and_the_identity_column_is_the_degree(self, group):
+        # the split tables of every block, read together: orthogonality alone
+        # cannot tell two swapped rows apart, the degrees can
+        for n in range(1, 31):
+            classes, rows, columns = unit_columns(group, n)
+            pairs = [(j, k) for j in range(len(classes)) for k in range(j, len(classes))]
+            assert gram_misses(classes, columns, pairs) == [], (group, n)
+            assert classes[-1].pi == (1,) * n
+            assert list(columns[-1]) == [(1, 0)]
+            degrees = [bar_length_degree(x.lam) // (1 if x.tag == SELF or group == SYM else 2) for x in rows]
+            assert columns[-1][(1, 0)] == [2 * d for d in degrees], (group, n)
 
 
 class TestAgainstQOracle:
